@@ -745,10 +745,11 @@ pub const SERVE_ROUNDS: usize = 10;
 /// Lockstep rounds for the quick (CI) serve smoke.
 pub const QUICK_SERVE_ROUNDS: usize = 5;
 /// Monte-Carlo trials per served job: sized so one job costs ~100 ms
-/// in release — two orders of magnitude above client-thread
-/// scheduling skew, which is what makes the exactly-once coalescing
-/// assertion below robust rather than a timing lottery.
-pub const SERVE_TRIALS: u64 = 200_000;
+/// in release (with fault-free trials fast-forwarded) — two orders of
+/// magnitude above client-thread scheduling skew, which is what makes
+/// the exactly-once coalescing assertion below robust rather than a
+/// timing lottery.
+pub const SERVE_TRIALS: u64 = 400_000;
 
 /// The serving path's robustness counters, carried in
 /// `BENCH_serve.json` so the chaos-hardening work stays visible next

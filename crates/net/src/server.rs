@@ -391,11 +391,11 @@ impl ServeCore {
                 // Echo the *caller's* id: a coalesced response carries
                 // the leader's records but this request's identity.
                 let line = render(&result_line(job.id.clone(), &result));
-                {
-                    let _span = qods_obs::span!(sites::NET_WRITE);
-                    sink.emit(&line);
-                }
+                // Count before answering: a client that has read the
+                // line must find it in the `stats` verb.
                 self.results.inc();
+                let _span = qods_obs::span!(sites::NET_WRITE);
+                sink.emit(&line);
             }
             // A panicked or deadline-cancelled job answers with its
             // own typed kind (`internal_error` / `deadline_exceeded`)
@@ -426,8 +426,9 @@ impl ServeCore {
     }
 
     fn emit_error(&self, sink: &dyn LineSink, kind: ErrorKind, id: Option<String>, diag: String) {
-        sink.emit(&render(&ErrorLine::new(kind, id, diag)));
+        // Counted before the line leaves, like results.
         self.errors.inc();
+        sink.emit(&render(&ErrorLine::new(kind, id, diag)));
     }
 
     /// Stops admitting jobs (they answer `shutting_down` errors);

@@ -25,7 +25,7 @@ const QUICK_JOB: &str =
 /// A deliberately slow job: `fig4` at a trial count that takes
 /// seconds even in debug builds, so tests can observe it in flight.
 const SLOW_JOB: &str =
-    "{\"id\":\"slow\",\"experiments\":[\"fig4\"],\"overrides\":{\"mc_trials\":400000}}";
+    "{\"id\":\"slow\",\"experiments\":[\"fig4\"],\"overrides\":{\"mc_trials\":1600000}}";
 
 fn start_server(caching: bool, options: ServeOptions) -> (SocketAddr, JoinHandle<()>) {
     let scheduler = Scheduler::with_options(StudyConfig::smoke(), 2, caching);
@@ -144,7 +144,7 @@ fn concurrent_duplicates_coalesce_onto_one_execution() {
             thread::spawn(move || {
                 let mut c = Client::connect(addr).expect("connect follower");
                 let line = format!(
-                    "{{\"id\":\"f{i}\",\"experiments\":[\"fig4\"],\"overrides\":{{\"mc_trials\":400000}}}}"
+                    "{{\"id\":\"f{i}\",\"experiments\":[\"fig4\"],\"overrides\":{{\"mc_trials\":1600000}}}}"
                 );
                 c.roundtrip(&line).expect("roundtrip").expect("result line")
             })

@@ -82,8 +82,8 @@ fn chrome_export_round_trips_a_real_serve_run_on_named_lanes() {
     assert_eq!(parsed.iter().filter(|e| e.ph == "M").count(), lanes.len());
 
     // Every event references a lane the metadata names, and every
-    // name is one the exporter mints ("main" / "worker-N" /
-    // "thread-N") — what Perfetto shows as track titles.
+    // name is one the exporter mints ("main" / "thread-N") — what
+    // Perfetto shows as track titles.
     let named: Vec<u64> = parsed
         .iter()
         .filter(|e| e.ph == "M")
@@ -100,7 +100,7 @@ fn chrome_export_round_trips_a_real_serve_run_on_named_lanes() {
     for lane in lanes {
         let name = qods_obs::export::lane_name(lane);
         assert!(
-            name == "main" || name.starts_with("worker-") || name.starts_with("thread-"),
+            name == "main" || name.starts_with("thread-"),
             "unexpected lane name `{name}`"
         );
     }

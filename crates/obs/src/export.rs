@@ -4,18 +4,19 @@
 //! aggregation `repro --load` prints as a time breakdown.
 //!
 //! Chrome mapping: every event shares `pid` 1; `tid` is the span's
-//! lane (0 = main thread, `1..=N` = pool workers, ≥ 1000 = other
-//! threads), and `"M"` metadata events name each lane so Perfetto
-//! shows `worker-3` instead of a bare number. Spans render as `"X"`
-//! (complete) events with microsecond `ts`/`dur`; instants as `"i"`.
-//! Structured args carry the span id/parent link, cache outcome,
-//! coalescing role, config hash (hex), and detail.
+//! lane (one per OS thread, 0 = the `main` thread), and `"M"`
+//! metadata events name each lane (`main` / `thread-N`). Spans render
+//! as `"X"` (complete) events with microsecond `ts`/`dur`; instants
+//! as `"i"`. Structured args carry the span id/parent link, cache
+//! outcome, coalescing role, config hash (hex), detail, and — on
+//! `pool.worker` spans — the pool run and worker index the thread
+//! served.
 //!
 //! Exports are built from hand-assembled [`Value`] trees rather than
 //! derived structs so absent args are *omitted*, not `null` — trace
 //! viewers are picky about nulls.
 
-use crate::trace::{Phase, SpanEvent, FIRST_DYNAMIC_LANE};
+use crate::trace::{Phase, SpanEvent};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -31,6 +32,12 @@ fn args_value(ev: &SpanEvent) -> Value {
         ("span", Value::UInt(ev.span_id)),
         ("parent", Value::UInt(ev.parent_id)),
     ];
+    push_args(&mut fields, ev);
+    obj(fields)
+}
+
+/// Appends the event's set args (absent ones are omitted).
+fn push_args(fields: &mut Vec<(&str, Value)>, ev: &SpanEvent) {
     if let Some(cache) = ev.args.cache {
         fields.push(("cache", Value::Str(cache.to_owned())));
     }
@@ -43,14 +50,18 @@ fn args_value(ev: &SpanEvent) -> Value {
     if let Some(detail) = &ev.args.detail {
         fields.push(("detail", Value::Str(detail.clone())));
     }
-    obj(fields)
+    if let Some(pool) = ev.args.pool {
+        fields.push(("pool", Value::UInt(pool)));
+    }
+    if let Some(worker) = ev.args.worker {
+        fields.push(("worker", Value::UInt(u64::from(worker))));
+    }
 }
 
 /// A human-readable name for `lane` (the Chrome thread name).
 pub fn lane_name(lane: u32) -> String {
     match lane {
         0 => "main".to_owned(),
-        n if n < FIRST_DYNAMIC_LANE => format!("worker-{n}"),
         n => format!("thread-{n}"),
     }
 }
@@ -79,18 +90,7 @@ pub fn to_ndjson(events: &[SpanEvent]) -> String {
                 ),
             ),
         ];
-        if let Some(cache) = ev.args.cache {
-            fields.push(("cache", Value::Str(cache.to_owned())));
-        }
-        if let Some(role) = ev.args.role {
-            fields.push(("role", Value::Str(role.to_owned())));
-        }
-        if let Some(hash) = ev.args.config_hash {
-            fields.push(("config_hash", Value::Str(format!("{hash:016x}"))));
-        }
-        if let Some(detail) = &ev.args.detail {
-            fields.push(("detail", Value::Str(detail.clone())));
-        }
+        push_args(&mut fields, ev);
         match serde_json::to_string(&obj(fields)) {
             Ok(line) => {
                 out.push_str(&line);
@@ -301,6 +301,8 @@ mod tests {
                 phase: Phase::Span,
                 args: SpanArgs {
                     cache: Some("miss"),
+                    pool: Some(5),
+                    worker: Some(1),
                     ..SpanArgs::default()
                 },
             },
@@ -332,6 +334,7 @@ mod tests {
         assert!(lines[1].contains("\"role\":\"leader\""));
         assert!(lines[1].contains("00000000deadbeef"));
         assert!(!lines[0].contains("role"), "absent args omitted");
+        assert!(lines[2].contains("\"pool\":5,\"worker\":1"));
         assert!(lines[3].contains("\"phase\":\"instant\""));
     }
 
@@ -347,7 +350,7 @@ mod tests {
             .iter()
             .map(|e| (e.tid, e.args["name"].as_str()))
             .collect();
-        assert_eq!(named, vec![(0, "main"), (2, "worker-2")]);
+        assert_eq!(named, vec![(0, "main"), (2, "thread-2")]);
 
         // Every non-metadata event references a named lane.
         let lanes: Vec<u64> = meta.iter().map(|e| e.tid).collect();
@@ -369,6 +372,11 @@ mod tests {
         let co = body.iter().find(|e| e.name == "svc.coalesce").unwrap();
         assert_eq!(co.args["role"], "leader");
         assert_eq!(co.args["config_hash"], "00000000deadbeef");
+        let worker = body.iter().find(|e| e.name == "pool.worker").unwrap();
+        assert_eq!(
+            (worker.args["pool"].as_str(), worker.args["worker"].as_str()),
+            ("5", "1")
+        );
     }
 
     #[test]

@@ -27,6 +27,16 @@
 //! Work handed to another thread (a pool worker) links its spans to
 //! the scheduling span explicitly via [`SpanGuard::child_of`] /
 //! [`current_span`].
+//!
+//! ## Lanes
+//!
+//! Every OS thread records on its own lane (the Chrome `tid`), minted
+//! once per thread: lane 0 is the thread named `main`, every other
+//! thread takes the next number from a process-wide counter. Pools
+//! nest (scheduler → experiment fan-out → Monte-Carlo workers), so a
+//! worker index cannot name a lane; which pool and worker a thread
+//! serves travels as the `pool.worker` span's args instead
+//! ([`SpanGuard::worker`]).
 
 use crate::sites;
 use serde::{Deserialize, Serialize};
@@ -47,10 +57,6 @@ fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// Buffer shards; writers `try_lock` the shard their span id maps to.
 const SHARDS: usize = 64;
-
-/// The lane non-worker threads start from (pool workers take
-/// 1..=threads via [`set_lane`]; the stdio/accept thread is lane 0).
-pub const FIRST_DYNAMIC_LANE: u32 = 1_000;
 
 /// How one event renders (`ph` in the Chrome trace format).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +79,11 @@ pub struct SpanArgs {
     pub config_hash: Option<u64>,
     /// Free-form detail (experiment id, fault site, error kind).
     pub detail: Option<String>,
+    /// The worker pool run a `pool.worker` span belongs to (a
+    /// process-unique id from [`next_pool_id`]).
+    pub pool: Option<u64>,
+    /// The worker's index within its pool.
+    pub worker: Option<u32>,
 }
 
 impl SpanArgs {
@@ -82,6 +93,8 @@ impl SpanArgs {
             && self.role.is_none()
             && self.config_hash.is_none()
             && self.detail.is_none()
+            && self.pool.is_none()
+            && self.worker.is_none()
     }
 }
 
@@ -94,7 +107,7 @@ pub struct SpanEvent {
     pub parent_id: u64,
     /// Site name (must be in [`crate::sites::ALL`]).
     pub site: &'static str,
-    /// Thread lane (pool worker index + 1; 0 = main; ≥ 1000 other).
+    /// Thread lane: one per OS thread, 0 for the `main` thread.
     pub lane: u32,
     /// Start offset from the tracer epoch, nanoseconds (telemetry
     /// only — never feeds a result).
@@ -131,8 +144,10 @@ pub struct Tracer {
 /// tracer state is touched.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static TRACER: OnceLock<Tracer> = OnceLock::new();
-/// Lane ids handed to threads that never called [`set_lane`].
-static NEXT_DYNAMIC_LANE: AtomicU32 = AtomicU32::new(FIRST_DYNAMIC_LANE);
+/// The lane the next thread other than `main` records on.
+static NEXT_LANE: AtomicU32 = AtomicU32::new(1);
+/// The id the next worker pool run takes.
+static NEXT_POOL: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// This thread's lane (u32::MAX = unassigned).
@@ -253,24 +268,29 @@ pub fn arm_from_env() -> Option<String> {
     (value != "1").then_some(value)
 }
 
-/// Assigns this thread's lane (Chrome `tid`). Pool workers call this
-/// with `worker index + 1`; lane 0 is the main/stdio thread.
-pub fn set_lane(lane: u32) {
-    LANE.with(|l| l.set(lane));
-}
-
-/// This thread's lane, assigning a fresh dynamic lane (≥ 1000) on
-/// first use by a thread that never called [`set_lane`].
+/// This thread's lane (Chrome `tid`), minted on first use: 0 for the
+/// thread named `main`, a fresh process-unique number for any other.
+/// No two OS threads ever share a lane.
 pub fn lane() -> u32 {
     LANE.with(|l| {
         let v = l.get();
         if v != u32::MAX {
             return v;
         }
-        let fresh = NEXT_DYNAMIC_LANE.fetch_add(1, Ordering::Relaxed);
+        let fresh = if std::thread::current().name() == Some("main") {
+            0
+        } else {
+            NEXT_LANE.fetch_add(1, Ordering::Relaxed)
+        };
         l.set(fresh);
         fresh
     })
+}
+
+/// A process-unique id for one worker pool run, carried by its
+/// `pool.worker` spans (see [`SpanGuard::worker`]).
+pub fn next_pool_id() -> u64 {
+    NEXT_POOL.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The innermost open span on this thread (0 when none) — pass to
@@ -389,6 +409,16 @@ impl SpanGuard {
     pub fn config_hash(mut self, hash: u64) -> Self {
         if let Some(l) = self.live.as_mut() {
             l.args.config_hash = Some(hash);
+        }
+        self
+    }
+
+    /// Sets the pool and worker-index args of a `pool.worker` span.
+    #[must_use]
+    pub fn worker(mut self, pool: u64, index: u32) -> Self {
+        if let Some(l) = self.live.as_mut() {
+            l.args.pool = Some(pool);
+            l.args.worker = Some(index);
         }
         self
     }
@@ -539,11 +569,11 @@ pub(crate) mod tests {
         let root = span(sites::SVC_SCHEDULE);
         let root_id = root.id();
         let worker = std::thread::spawn(move || {
-            set_lane(7);
-            let _w = span(sites::POOL_WORKER).child_of(root_id);
+            let _w = span(sites::POOL_WORKER).child_of(root_id).worker(3, 1);
             fault_fired("pool.worker");
+            lane()
         });
-        worker.join().unwrap();
+        let worker_lane = worker.join().unwrap();
         drop(root);
         disable();
         let events = tracer().drain();
@@ -552,14 +582,16 @@ pub(crate) mod tests {
             .find(|e| e.site == sites::POOL_WORKER)
             .unwrap();
         assert_eq!(w.parent_id, root_id);
-        assert_eq!(w.lane, 7);
+        assert_eq!(w.lane, worker_lane);
+        assert_ne!(w.lane, lane(), "the worker thread has its own lane");
+        assert_eq!((w.args.pool, w.args.worker), (Some(3), Some(1)));
         let f = events
             .iter()
             .find(|e| e.site == sites::FAULT_FIRED)
             .unwrap();
         assert_eq!(f.phase, Phase::Instant);
         assert_eq!(f.args.detail.as_deref(), Some("pool.worker"));
-        assert_eq!(f.lane, 7);
+        assert_eq!(f.lane, worker_lane);
     }
 
     #[test]

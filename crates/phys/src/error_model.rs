@@ -251,6 +251,32 @@ impl FaultSampler {
         }
     }
 
+    /// Fast-forwards over whole fault-free runs: how many of the next
+    /// `max` runs of `span` ops each are known to draw no fault,
+    /// consuming them from the countdown. In skip mode that is
+    /// `gap / span`, drawing the gap first if none is in flight (the
+    /// same draw the first op would make, so the RNG stream is
+    /// unchanged); noiseless runs are all fault-free; exact mode
+    /// decides nothing ahead and returns 0.
+    #[inline]
+    pub fn clean_runs<R: Rng + ?Sized>(&mut self, span: u64, max: u64, rng: &mut R) -> u64 {
+        match self.mode {
+            Mode::Noiseless => max,
+            Mode::Exact => 0,
+            // A zero-op run never reaches the sampler, so it must not
+            // force the lazy gap draw either.
+            Mode::Skip if span == 0 => max,
+            Mode::Skip => {
+                if self.gap == GAP_UNDRAWN {
+                    self.gap = self.draw_gap(rng);
+                }
+                let k = (self.gap / span).min(max);
+                self.gap -= k * span;
+                k
+            }
+        }
+    }
+
     /// Decides whether the op of kind `kind` that is being executed
     /// right now suffers a fault.
     #[inline]

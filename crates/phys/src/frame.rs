@@ -152,6 +152,17 @@ impl PauliFrame {
         self.sampler.reset();
     }
 
+    /// How many of the next `max` trials of `span` ops each are known
+    /// to run fault-free, consuming them from the sampler (see
+    /// [`FaultSampler::clean_runs`]). Exact only for trials that start
+    /// from a clean frame and draw from the RNG solely through the
+    /// sampler — true of every Clifford protocol, since twirls fire
+    /// only on set X bits.
+    #[inline]
+    pub fn clean_runs<R: Rng + ?Sized>(&mut self, span: u64, max: u64, rng: &mut R) -> u64 {
+        self.sampler.clean_runs(span, max, rng)
+    }
+
     /// Number of qubits tracked.
     pub fn len(&self) -> usize {
         self.n

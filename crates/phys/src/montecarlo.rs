@@ -31,12 +31,22 @@
 //! count, including the sequential runner. (This is stronger than the
 //! old engine's per-`(seed, threads)` contract; the stream itself
 //! differs from the old engine by design — see DESIGN.md.)
+//!
+//! ## Fault-free fast-forward
+//!
+//! A stream may carry a [`CleanTrial`] descriptor: the op span and
+//! outcome of one fault-free trial. The runner then asks the arena's
+//! sampler how many upcoming trials its in-flight geometric gap
+//! already covers, records that many clean outcomes in one step, and
+//! simulates only the trial holding the next fault candidate. A clean
+//! trial draws nothing from the RNG, so the stream — and every
+//! statistic — is bit-identical to running each trial.
 
 use crate::error_model::ErrorModel;
 use crate::frame::PauliFrame;
 use qods_pool::WorkQueue;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Trials per scheduling chunk. Large enough that the atomic cursor and
 /// per-chunk RNG seeding are noise (a chunk is ~10^5–10^6 ops), small
@@ -110,6 +120,23 @@ impl TrialArena {
         (&mut self.frame, &mut self.flips)
     }
 
+    /// How many of the next `max` trials of `span` sampler ops under
+    /// `model` are known to run fault-free, consuming them from the
+    /// frame's sampler (see [`PauliFrame::clean_runs`]). The frame is
+    /// reset as a trial would reset it, so a trial run after this sees
+    /// the same sampler state it would have seen after the skipped
+    /// trials.
+    pub fn clean_trials<R: Rng + ?Sized>(
+        &mut self,
+        model: ErrorModel,
+        span: u64,
+        max: u64,
+        rng: &mut R,
+    ) -> u64 {
+        let n = self.frame.len();
+        self.frame(n, model).clean_runs(span, max, rng)
+    }
+
     /// Reusable limb scratch, cleared and zero-filled to `limbs` words.
     pub fn scratch(&mut self, limbs: usize) -> &mut Vec<u64> {
         self.scratch.clear();
@@ -144,6 +171,48 @@ pub enum TrialOutcome {
     },
     /// Verification rejected the product; nothing was delivered.
     Discarded,
+}
+
+/// What one fault-free trial of a stream looks like, so the runner can
+/// record runs of them without simulating each (see the module docs).
+///
+/// The trial closure must run under `model`, start from a reset arena
+/// frame, draw from the RNG only through the frame's fault sampler,
+/// consume exactly `span` sampler ops when no fault strikes, and then
+/// return `outcome`. Every Clifford protocol qualifies; its `span` is
+/// its op census.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CleanTrial {
+    /// The error model the trial closure runs under.
+    pub model: ErrorModel,
+    /// Sampler ops one fault-free trial consumes.
+    pub span: u64,
+    /// The outcome of a fault-free trial.
+    pub outcome: TrialOutcome,
+}
+
+/// One independent trial stream for [`run_trials_multi`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialStream {
+    /// Trials to run.
+    pub trials: u64,
+    /// The stream's seed (chunk `c` draws from `(seed, c)`).
+    pub seed: u64,
+    /// The stream's fault-free trial, when known: enables the
+    /// fast-forward, with bit-identical statistics.
+    pub clean: Option<CleanTrial>,
+}
+
+impl TrialStream {
+    /// A stream of `trials` trials seeded with `seed`, every trial
+    /// simulated.
+    pub fn new(trials: u64, seed: u64) -> Self {
+        TrialStream {
+            trials,
+            seed,
+            clean: None,
+        }
+    }
 }
 
 /// Aggregated statistics over many trials.
@@ -239,29 +308,23 @@ impl MonteCarloStats {
         1.96 * (p * (1.0 - p) / self.trials as f64).sqrt()
     }
 
-    fn record(&mut self, outcome: TrialOutcome) {
-        self.trials += 1;
-        match outcome {
-            TrialOutcome::Discarded => self.discarded += 1,
-            TrialOutcome::Accepted { logical_error } => {
-                self.accepted += 1;
-                if logical_error {
-                    self.logical_errors += 1;
-                }
+    /// Records `count` trials that all ended in `outcome`.
+    fn record(&mut self, outcome: TrialOutcome, count: u64) {
+        self.trials += count;
+        let (logical_error, dirty) = match outcome {
+            TrialOutcome::Discarded => {
+                self.discarded += count;
+                return;
             }
+            TrialOutcome::Accepted { logical_error } => (logical_error, false),
             TrialOutcome::AcceptedDetailed {
                 logical_error,
                 dirty,
-            } => {
-                self.accepted += 1;
-                if logical_error {
-                    self.logical_errors += 1;
-                }
-                if dirty {
-                    self.dirty_errors += 1;
-                }
-            }
-        }
+            } => (logical_error, dirty),
+        };
+        self.accepted += count;
+        self.logical_errors += u64::from(logical_error) * count;
+        self.dirty_errors += u64::from(dirty) * count;
     }
 }
 
@@ -272,9 +335,16 @@ fn chunk_seed(seed: u64, c: u64) -> u64 {
     seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c.wrapping_add(1)))
 }
 
-/// Runs the trials of chunk `c` (global trial indices
-/// `[c * TRIAL_CHUNK, min(n, (c + 1) * TRIAL_CHUNK))`) into `stats`.
-fn run_chunk<F>(n: u64, seed: u64, c: u64, trial: &mut F, arena: &mut TrialArena) -> MonteCarloStats
+/// Runs the trials of chunk `c` of `stream` (global trial indices
+/// `[c * TRIAL_CHUNK, min(trials, (c + 1) * TRIAL_CHUNK))`), recording
+/// runs of fault-free trials in one step when the stream describes
+/// its clean trial.
+fn run_chunk<F>(
+    stream: &TrialStream,
+    c: u64,
+    trial: &mut F,
+    arena: &mut TrialArena,
+) -> MonteCarloStats
 where
     F: FnMut(&mut StdRng, &mut TrialArena) -> TrialOutcome,
 {
@@ -292,12 +362,23 @@ where
     }
     qods_pool::check_deadline();
     let lo = c * TRIAL_CHUNK;
-    let hi = n.min(lo + TRIAL_CHUNK);
-    let mut rng = StdRng::seed_from_u64(chunk_seed(seed, c));
+    let mut left = stream.trials.min(lo + TRIAL_CHUNK) - lo;
+    let mut rng = StdRng::seed_from_u64(chunk_seed(stream.seed, c));
     arena.reset_sampling();
     let mut stats = MonteCarloStats::default();
-    for _ in lo..hi {
-        stats.record(trial(&mut rng, arena));
+    while left > 0 {
+        if let Some(clean) = &stream.clean {
+            let k = arena.clean_trials(clean.model, clean.span, left, &mut rng);
+            stats.record(clean.outcome, k);
+            left -= k;
+            if left == 0 {
+                break;
+            }
+        }
+        // This trial holds the next fault candidate (or the stream has
+        // no descriptor): simulate it.
+        stats.record(trial(&mut rng, arena), 1);
+        left -= 1;
     }
     stats
 }
@@ -309,10 +390,11 @@ pub fn run_trials<F>(n: u64, seed: u64, mut trial: F) -> MonteCarloStats
 where
     F: FnMut(&mut StdRng, &mut TrialArena) -> TrialOutcome,
 {
+    let stream = TrialStream::new(n, seed);
     let mut arena = TrialArena::new();
     let mut total = MonteCarloStats::default();
     for c in 0..n.div_ceil(TRIAL_CHUNK) {
-        total.merge(&run_chunk(n, seed, c, &mut trial, &mut arena));
+        total.merge(&run_chunk(&stream, c, &mut trial, &mut arena));
     }
     total
 }
@@ -327,25 +409,30 @@ pub fn run_trials_parallel<F>(n: u64, seed: u64, threads: usize, trial: F) -> Mo
 where
     F: Fn(&mut StdRng, &mut TrialArena) -> TrialOutcome + Sync,
 {
-    run_trials_multi(&[(n, seed)], threads, |_, rng, arena| trial(rng, arena))
-        .pop()
-        .expect("one stream in, one stats out")
+    run_trials_multi(&[TrialStream::new(n, seed)], threads, |_, rng, arena| {
+        trial(rng, arena)
+    })
+    .pop()
+    .expect("one stream in, one stats out")
 }
 
-/// Runs several independent trial streams — `jobs[i] = (n_i, seed_i)`,
-/// trial closures told their stream index — through **one** shared
-/// work-stealing pool. All streams' chunks feed a single atomic
-/// cursor, so a long stream overlaps a short one instead of the pool
-/// being statically split between them. Stream `i`'s statistics are
-/// bit-identical to `run_trials(n_i, seed_i, ...)` at any thread
-/// count.
-pub fn run_trials_multi<F>(jobs: &[(u64, u64)], threads: usize, trial: F) -> Vec<MonteCarloStats>
+/// Runs several independent trial streams — trial closures told their
+/// stream index — through **one** shared work-stealing pool. All
+/// streams' chunks feed a single atomic cursor, so a long stream
+/// overlaps a short one instead of the pool being statically split
+/// between them. Stream `i`'s statistics are bit-identical to
+/// `run_trials(jobs[i].trials, jobs[i].seed, ...)` at any thread
+/// count, with or without its [`CleanTrial`] descriptor.
+pub fn run_trials_multi<F>(jobs: &[TrialStream], threads: usize, trial: F) -> Vec<MonteCarloStats>
 where
     F: Fn(usize, &mut StdRng, &mut TrialArena) -> TrialOutcome + Sync,
 {
     // Global chunk index space: stream 0's chunks first, then stream
     // 1's, ... mapped back through the prefix sums.
-    let chunk_counts: Vec<u64> = jobs.iter().map(|&(n, _)| n.div_ceil(TRIAL_CHUNK)).collect();
+    let chunk_counts: Vec<u64> = jobs
+        .iter()
+        .map(|s| s.trials.div_ceil(TRIAL_CHUNK))
+        .collect();
     let total_chunks: u64 = chunk_counts.iter().sum();
     let locate = |g: u64| -> (usize, u64) {
         let mut base = 0u64;
@@ -364,9 +451,8 @@ where
         let mut totals = vec![MonteCarloStats::default(); jobs.len()];
         for g in 0..total_chunks {
             let (i, c) = locate(g);
-            let (n, seed) = jobs[i];
             let mut f = |rng: &mut StdRng, arena: &mut TrialArena| trial(i, rng, arena);
-            totals[i].merge(&run_chunk(n, seed, c, &mut f, &mut arena));
+            totals[i].merge(&run_chunk(&jobs[i], c, &mut f, &mut arena));
         }
         return totals;
     }
@@ -376,9 +462,8 @@ where
         let mut stats = vec![MonteCarloStats::default(); jobs.len()];
         while let Some(g) = queue.claim() {
             let (i, c) = locate(g);
-            let (n, seed) = jobs[i];
             let mut f = |rng: &mut StdRng, arena: &mut TrialArena| trial(i, rng, arena);
-            stats[i].merge(&run_chunk(n, seed, c, &mut f, &mut arena));
+            stats[i].merge(&run_chunk(&jobs[i], c, &mut f, &mut arena));
         }
         stats
     });
@@ -482,14 +567,18 @@ mod tests {
     fn multi_stream_pool_matches_single_stream_runs() {
         // Each stream through the shared pool must equal its own
         // standalone run, at any thread count, even with uneven sizes.
-        let jobs = [(3 * TRIAL_CHUNK + 7, 5u64), (100, 9), (TRIAL_CHUNK, 5)];
+        let jobs = [
+            TrialStream::new(3 * TRIAL_CHUNK + 7, 5),
+            TrialStream::new(100, 9),
+            TrialStream::new(TRIAL_CHUNK, 5),
+        ];
         let trial = |i: usize, rng: &mut StdRng, _: &mut TrialArena| TrialOutcome::Accepted {
             logical_error: rng.gen_bool(0.1 * (i + 1) as f64),
         };
         let expected: Vec<MonteCarloStats> = jobs
             .iter()
             .enumerate()
-            .map(|(i, &(n, seed))| run_trials(n, seed, |rng, a| trial(i, rng, a)))
+            .map(|(i, s)| run_trials(s.trials, s.seed, |rng, a| trial(i, rng, a)))
             .collect();
         for threads in [1, 2, 5] {
             let got = run_trials_multi(&jobs, threads, trial);

@@ -312,8 +312,11 @@ where
     // Captured on the caller's thread: worker spans on spawned threads
     // link back to the span that scheduled them (cross-thread parent).
     let parent_span = qods_obs::trace::current_span();
+    let pool = qods_obs::trace::next_pool_id();
     let guarded = |w: usize| -> Result<R, PoolError> {
-        let _span = qods_obs::span!(sites::POOL_WORKER).child_of(parent_span);
+        let _span = qods_obs::span!(sites::POOL_WORKER)
+            .child_of(parent_span)
+            .worker(pool, w as u32);
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             with_deadline(deadline, || {
                 if let Some(action) = qods_fault::check_sleeping(qods_fault::site::POOL_WORKER) {
@@ -336,12 +339,9 @@ where
     let outcomes: Vec<Result<R, PoolError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                scope.spawn(move || {
-                    // Fresh OS thread, fresh TLS: worker w renders on
-                    // trace lane w + 1 (lane 0 is the caller).
-                    qods_obs::trace::set_lane(w as u32 + 1);
-                    guarded(w)
-                })
+                // Fresh OS thread, so a fresh trace lane; the worker's
+                // pool and index ride on its `pool.worker` span.
+                scope.spawn(move || guarded(w))
             })
             .collect();
         handles

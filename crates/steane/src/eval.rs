@@ -20,9 +20,11 @@ use crate::code::SteaneCode;
 use crate::executor::OpCounts;
 use crate::prep::{run_prep, run_prep_in, PrepOutcome, PrepStrategy};
 use qods_phys::error_model::ErrorModel;
-use qods_phys::montecarlo::{run_trials_multi, run_trials_parallel, MonteCarloStats, TrialOutcome};
+use qods_phys::montecarlo::{
+    run_trials_multi, CleanTrial, MonteCarloStats, TrialArena, TrialOutcome, TrialStream,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The evaluation of one preparation strategy.
 #[derive(Debug, Clone, Copy)]
@@ -55,13 +57,53 @@ impl PrepEvaluation {
     }
 }
 
+/// One Monte-Carlo trial of `strategy` under `model` on `arena`: the
+/// trial closure [`evaluate_prep`] and [`evaluate_all`] run.
+#[inline]
+pub fn prep_trial<R: Rng>(
+    strategy: PrepStrategy,
+    model: ErrorModel,
+    code: &SteaneCode,
+    rng: &mut R,
+    arena: &mut TrialArena,
+) -> TrialOutcome {
+    let (outcome, _) = run_prep_in(strategy, model, rng, arena);
+    trial_outcome(outcome, code)
+}
+
+fn trial_outcome(outcome: PrepOutcome, code: &SteaneCode) -> TrialOutcome {
+    match outcome {
+        PrepOutcome::Discarded => TrialOutcome::Discarded,
+        delivered => TrialOutcome::AcceptedDetailed {
+            logical_error: delivered.is_uncorrectable(code),
+            dirty: delivered.is_dirty(code),
+        },
+    }
+}
+
+/// The noiseless dry run of `strategy`: its op census, and the
+/// fault-free trial under `model` that lets the runner fast-forward
+/// over clean [`prep_trial`]s (every op consumes one sampler op, so
+/// the span is the census total).
+pub fn clean_prep_trial(strategy: PrepStrategy, model: ErrorModel) -> (CleanTrial, OpCounts) {
+    let mut dry = StdRng::seed_from_u64(0);
+    let (outcome, ops) = run_prep(strategy, ErrorModel::noiseless(), &mut dry);
+    let clean = CleanTrial {
+        model,
+        span: ops.total(),
+        outcome: trial_outcome(outcome, &SteaneCode::new()),
+    };
+    (clean, ops)
+}
+
 /// Runs the Monte-Carlo evaluation of one strategy.
 ///
 /// Statistics are bit-identical for a fixed `(trials, seed)` at *any*
 /// `threads` value (the runner walks per-chunk RNG streams; see
 /// `qods_phys::montecarlo`), and the trial hot path is allocation-free:
 /// each worker's [`qods_phys::montecarlo::TrialArena`] frame is reused
-/// across its trials.
+/// across its trials. Fault-free trials are fast-forwarded in runs
+/// (see [`clean_prep_trial`]), which leaves every statistic unchanged.
 pub fn evaluate_prep(
     strategy: PrepStrategy,
     model: ErrorModel,
@@ -69,44 +111,9 @@ pub fn evaluate_prep(
     seed: u64,
     threads: usize,
 ) -> PrepEvaluation {
-    // Monomorphize the trial loop per strategy: with `S` a compile-time
-    // constant the strategy match inside `run_prep_in` const-folds away,
-    // which is worth ~15-20 ns/trial on the Fig 4 panel.
-    let stats = match strategy {
-        PrepStrategy::Basic => prep_stats::<0>(model, trials, seed, threads),
-        PrepStrategy::VerifyOnly => prep_stats::<1>(model, trials, seed, threads),
-        PrepStrategy::CorrectOnly => prep_stats::<2>(model, trials, seed, threads),
-        PrepStrategy::VerifyAndCorrect => prep_stats::<3>(model, trials, seed, threads),
-    };
-    let mut dry = StdRng::seed_from_u64(seed);
-    let (_, ops) = run_prep(strategy, ErrorModel::noiseless(), &mut dry);
-    PrepEvaluation {
-        strategy,
-        stats,
-        ops,
-    }
-}
-
-/// The Monte-Carlo loop of [`evaluate_prep`] for strategy
-/// `PrepStrategy::ALL[S]`.
-fn prep_stats<const S: usize>(
-    model: ErrorModel,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> MonteCarloStats {
-    let strategy = PrepStrategy::ALL[S];
-    let code = SteaneCode::new();
-    run_trials_parallel(trials, seed, threads, |rng, arena| {
-        let (outcome, _) = run_prep_in(strategy, model, rng, arena);
-        match outcome {
-            PrepOutcome::Discarded => TrialOutcome::Discarded,
-            delivered => TrialOutcome::AcceptedDetailed {
-                logical_error: delivered.is_uncorrectable(&code),
-                dirty: delivered.is_dirty(&code),
-            },
-        }
-    })
+    evaluate(&[strategy], model, trials, seed, threads)
+        .pop()
+        .expect("one strategy in, one evaluation out")
 }
 
 /// Evaluates all four strategies (the full Fig 4 panel).
@@ -124,30 +131,40 @@ pub fn evaluate_all(
     seed: u64,
     threads: usize,
 ) -> Vec<PrepEvaluation> {
-    let strategies = PrepStrategy::ALL;
+    evaluate(&PrepStrategy::ALL, model, trials, seed, threads)
+}
+
+/// Evaluates `strategies` as one stream each through one shared pool.
+fn evaluate(
+    strategies: &[PrepStrategy],
+    model: ErrorModel,
+    trials: u64,
+    seed: u64,
+    threads: usize,
+) -> Vec<PrepEvaluation> {
     let code = SteaneCode::new();
-    let jobs: Vec<(u64, u64)> = strategies.iter().map(|_| (trials, seed)).collect();
+    let dry: Vec<(CleanTrial, OpCounts)> = strategies
+        .iter()
+        .map(|&s| clean_prep_trial(s, model))
+        .collect();
+    let jobs: Vec<TrialStream> = dry
+        .iter()
+        .map(|&(clean, _)| TrialStream {
+            clean: Some(clean),
+            ..TrialStream::new(trials, seed)
+        })
+        .collect();
     let stats = run_trials_multi(&jobs, threads, |i, rng, arena| {
-        let (outcome, _) = run_prep_in(strategies[i], model, rng, arena);
-        match outcome {
-            PrepOutcome::Discarded => TrialOutcome::Discarded,
-            delivered => TrialOutcome::AcceptedDetailed {
-                logical_error: delivered.is_uncorrectable(&code),
-                dirty: delivered.is_dirty(&code),
-            },
-        }
+        prep_trial(strategies[i], model, &code, rng, arena)
     });
     strategies
         .iter()
         .zip(stats)
-        .map(|(&strategy, stats)| {
-            let mut dry = StdRng::seed_from_u64(seed);
-            let (_, ops) = run_prep(strategy, ErrorModel::noiseless(), &mut dry);
-            PrepEvaluation {
-                strategy,
-                stats,
-                ops,
-            }
+        .zip(dry)
+        .map(|((&strategy, stats), (_, ops))| PrepEvaluation {
+            strategy,
+            stats,
+            ops,
         })
         .collect()
 }

@@ -27,7 +27,7 @@ use qods_core::registry::Registry;
 use qods_core::report::Render;
 use qods_core::study::{PaperReproduction, StudyConfig};
 use qods_service::{RunRequest, Scheduler};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
@@ -76,23 +76,19 @@ fn usage() -> &'static str {
      nonzero when the traced run is more than PCT% slower.\n\
      \n\
      Perf smoke:\n\
-     `repro --bench-json [montecarlo] [sweep] [compile] [serve]` times\n\
+     `repro --bench-json [montecarlo|sweep|compile|serve ...]` times\n\
      the Fig 4 Monte-Carlo panel, the Fig 15 architecture sweep, the\n\
      cold-vs-warm-disk kernel compile, and/or the concurrent TCP\n\
-     serving layer (all four when no workload is named) and writes\n\
-     BENCH_montecarlo.json / BENCH_sweep.json / BENCH_compile.json /\n\
-     BENCH_serve.json (with `quick`: smaller workloads, written\n\
-     under results/ so the committed baselines are not clobbered).\n\
-     `repro --bench-check PATH` runs the quick Monte-Carlo smoke,\n\
-     `repro --bench-check-sweep PATH` the quick sweep smoke,\n\
-     `repro --bench-check-compile PATH` the quick compile smoke, and\n\
-     `repro --bench-check-serve PATH` the quick serving smoke; each\n\
-     writes its results/ JSON and exits nonzero when machine-normalized\n\
-     throughput regressed more than 2x against the baseline at PATH\n\
-     (the compile check additionally requires zero warm-disk recompiles\n\
-     and a >= 1.2x disk speedup; the serve check requires coalesced\n\
-     duplicates to execute exactly once and >= 3x concurrency scaling).\n\
-     The checks combine in one invocation."
+     serving layer (all four when no workload is named) and rewrites\n\
+     the repo-root baselines BENCH_<workload>.json.\n\
+     `repro --bench-check PATH` (repeatable) reruns the workload the\n\
+     baseline at PATH records, at the size it records, writes\n\
+     results/BENCH_<workload>.json, and exits nonzero when\n\
+     machine-normalized throughput regressed more than 2x, when the\n\
+     baseline is for another workload or size, or when the run breaks\n\
+     a contract: zero warm-disk recompiles and a >= 1.2x disk speedup\n\
+     (compile); coalesced duplicates executing exactly once and >= 3x\n\
+     concurrency scaling (serve)."
 }
 
 fn main() -> ExitCode {
@@ -113,10 +109,7 @@ fn main() -> ExitCode {
     let mut trace_overhead_gate: Option<f64> = None;
     let mut lint = false;
     let mut bench_json = false;
-    let mut bench_check: Option<String> = None;
-    let mut bench_check_sweep: Option<String> = None;
-    let mut bench_check_compile: Option<String> = None;
-    let mut bench_check_serve: Option<String> = None;
+    let mut bench_checks: Vec<String> = Vec::new();
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -195,30 +188,9 @@ fn main() -> ExitCode {
             "--lint" => lint = true,
             "--bench-json" => bench_json = true,
             "--bench-check" => match it.next() {
-                Some(path) => bench_check = Some(path),
+                Some(path) => bench_checks.push(path),
                 None => {
                     eprintln!("--bench-check needs a baseline path\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench-check-sweep" => match it.next() {
-                Some(path) => bench_check_sweep = Some(path),
-                None => {
-                    eprintln!("--bench-check-sweep needs a baseline path\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench-check-compile" => match it.next() {
-                Some(path) => bench_check_compile = Some(path),
-                None => {
-                    eprintln!("--bench-check-compile needs a baseline path\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench-check-serve" => match it.next() {
-                Some(path) => bench_check_serve = Some(path),
-                None => {
-                    eprintln!("--bench-check-serve needs a baseline path\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
@@ -293,69 +265,53 @@ fn main() -> ExitCode {
         return code;
     }
 
-    if bench_json
-        || bench_check.is_some()
-        || bench_check_sweep.is_some()
-        || bench_check_compile.is_some()
-        || bench_check_serve.is_some()
-    {
-        // Workload selection: positional ids name smoke workloads in
-        // bench mode; `--bench-json` with no ids means both. A
-        // workload requested through `--bench-json` runs at the size
-        // the `quick` flag says (full regenerates the repo-root
-        // baseline); one running only because a check flag named it
-        // always runs quick — combining the modes must not downgrade
-        // an explicit baseline regeneration.
-        let mut json_mc = false;
-        let mut json_sweep = false;
-        let mut json_compile = false;
-        let mut json_serve = false;
+    if bench_json || !bench_checks.is_empty() {
+        if quick {
+            eprintln!(
+                "`quick` has no bench size: every smoke runs its baseline's workload\n{}",
+                usage()
+            );
+            return ExitCode::FAILURE;
+        }
+        // Positional ids name the baselines `--bench-json` rewrites;
+        // none means all four.
+        let mut regenerate = Vec::new();
         if bench_json {
             for id in &ids {
-                match id.as_str() {
-                    "montecarlo" | "mc" | "fig4" => json_mc = true,
-                    "sweep" | "fig15" => json_sweep = true,
-                    "compile" => json_compile = true,
-                    "serve" | "net" => json_serve = true,
-                    other => {
-                        eprintln!("unknown bench workload `{other}`\n{}", usage());
+                match perf::Workload::parse(id) {
+                    Some(w) => regenerate.push(w),
+                    None => {
+                        eprintln!("unknown bench workload `{id}`\n{}", usage());
                         return ExitCode::FAILURE;
                     }
                 }
             }
             if ids.is_empty() {
-                json_mc = true;
-                json_sweep = true;
-                json_compile = true;
-                json_serve = true;
+                regenerate = perf::Workload::ALL.to_vec();
             }
         }
-        let run_mc = json_mc || bench_check.is_some();
-        let run_sweep = json_sweep || bench_check_sweep.is_some();
-        let run_compile = json_compile || bench_check_compile.is_some();
-        let run_serve = json_serve || bench_check_serve.is_some();
         let mut code = ExitCode::SUCCESS;
-        if run_mc && run_bench_smoke(quick || !json_mc, bench_check.as_deref()) == ExitCode::FAILURE
-        {
-            code = ExitCode::FAILURE;
+        for path in &bench_checks {
+            let (workload, baseline) = match perf::load_baseline(Path::new(path)) {
+                Ok(loaded) => loaded,
+                Err(e) => {
+                    eprintln!("perf gate FAILED: {e}");
+                    code = ExitCode::FAILURE;
+                    continue;
+                }
+            };
+            // A workload both checked and regenerated runs once and
+            // rewrites its repo-root baseline.
+            let regenerated = regenerate.contains(&workload);
+            regenerate.retain(|&w| w != workload);
+            if run_smoke(workload, regenerated, Some(&baseline)) == ExitCode::FAILURE {
+                code = ExitCode::FAILURE;
+            }
         }
-        if run_sweep
-            && run_sweep_smoke(quick || !json_sweep, bench_check_sweep.as_deref())
-                == ExitCode::FAILURE
-        {
-            code = ExitCode::FAILURE;
-        }
-        if run_compile
-            && run_compile_smoke(quick || !json_compile, bench_check_compile.as_deref())
-                == ExitCode::FAILURE
-        {
-            code = ExitCode::FAILURE;
-        }
-        if run_serve
-            && run_serve_smoke(quick || !json_serve, bench_check_serve.as_deref())
-                == ExitCode::FAILURE
-        {
-            code = ExitCode::FAILURE;
+        for workload in regenerate {
+            if run_smoke(workload, true, None) == ExitCode::FAILURE {
+                code = ExitCode::FAILURE;
+            }
         }
         return code;
     }
@@ -892,8 +848,8 @@ fn run_load_over_tcp(
     connections: usize,
     gate: Option<f64>,
 ) -> ExitCode {
-    use qods_bench::perf::LatencyHistogram;
-    use qods_net::{Client, NetServer, ServeCore, ServeOptions, StatsLine};
+    use qods_net::{Client, StatsLine};
+    use qods_service::LatencyHistogram;
     use std::net::SocketAddr;
     use std::sync::Arc;
     use std::thread::JoinHandle;
@@ -901,25 +857,8 @@ fn run_load_over_tcp(
     let requests = batch.len();
     let lines: Arc<Vec<String>> = Arc::new(batch.iter().map(qods_net::protocol::render).collect());
 
-    let start = |caching: bool| -> (SocketAddr, JoinHandle<()>, Arc<ServeCore>) {
-        let scheduler = Scheduler::with_options(
-            StudyConfig::smoke(),
-            qods_service::pool::host_threads(),
-            caching,
-        );
-        let core = Arc::new(ServeCore::new(
-            scheduler,
-            ServeOptions {
-                // Every connection must admit at once: the generator
-                // measures throughput, not shedding.
-                max_inflight: 2 * connections,
-                ..ServeOptions::default()
-            },
-        ));
-        let server = NetServer::bind(Arc::clone(&core), "127.0.0.1:0").expect("bind load server");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.serve().expect("load server serves"));
-        (addr, handle, core)
+    let start = |caching: bool| {
+        perf::loopback_server(qods_service::pool::host_threads(), caching, connections)
     };
 
     // One timed pass: the batch split round-robin across the client
@@ -991,7 +930,7 @@ fn run_load_over_tcp(
 
     // Cold service: no cache, so only *in-flight* coalescing can save
     // a duplicate — exactly the serving layer's contribution.
-    let (addr, server, _core) = start(false);
+    let (addr, server) = start(false);
     let cold_s = match one_pass(addr, &latency) {
         Ok(s) => s,
         Err(code) => return code,
@@ -1007,7 +946,7 @@ fn run_load_over_tcp(
 
     // Warm service: fill pass, then the steady-state pass a
     // long-running server sustains on repeat-heavy traffic.
-    let (addr, server, _core) = start(true);
+    let (addr, server) = start(true);
     let fill_s = match one_pass(addr, &latency) {
         Ok(s) => s,
         Err(code) => return code,
@@ -1065,199 +1004,38 @@ fn run_load_over_tcp(
     }
 }
 
-/// Runs the Monte-Carlo perf smoke (`--bench-json` / `--bench-check`).
-fn run_bench_smoke(quick: bool, baseline_path: Option<&str>) -> ExitCode {
-    let trials = if quick {
-        perf::QUICK_TRIALS
+/// The perf-smoke runner behind `--bench-json` and `--bench-check`:
+/// runs `workload`, prints its report, writes it to the repo-root
+/// baseline (`regenerate`) or under results/, and gates it against
+/// `baseline` when one is given.
+fn run_smoke(
+    workload: perf::Workload,
+    regenerate: bool,
+    baseline: Option<&perf::BenchReport>,
+) -> ExitCode {
+    let report = workload.run();
+    print!("{}", perf::render(&report));
+    let file = format!("BENCH_{}.json", workload.name());
+    let out = if regenerate {
+        PathBuf::from(file)
     } else {
-        perf::SMOKE_TRIALS
+        Path::new("results").join(file)
     };
-    let report = perf::montecarlo_smoke(trials, perf::SMOKE_REPS);
-    print!("{}", perf::render_report(&report));
-    let out = if quick {
-        Path::new("results/BENCH_montecarlo.json")
-    } else {
-        Path::new("BENCH_montecarlo.json")
-    };
-    if let Err(e) = write_json(out, &report) {
+    if let Err(e) = write_json(&out, &report) {
         eprintln!("failed to write {}: {e}", out.display());
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {}", out.display());
-    let Some(path) = baseline_path else {
+    let Some(baseline) = baseline else {
         return ExitCode::SUCCESS;
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline: perf::McBenchReport = match serde_json::from_str(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot parse baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match perf::check_against(&report, &baseline, 2.0) {
+    match perf::check(&report, baseline) {
         Ok(verdict) => {
             println!("perf gate OK: {verdict}");
             ExitCode::SUCCESS
         }
         Err(verdict) => {
             eprintln!("perf gate FAILED: {verdict}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the Fig 15 sweep perf smoke (`--bench-json sweep` /
-/// `--bench-check-sweep`).
-fn run_sweep_smoke(quick: bool, baseline_path: Option<&str>) -> ExitCode {
-    let areas = if quick {
-        perf::QUICK_SWEEP_AREAS
-    } else {
-        perf::SWEEP_AREAS
-    };
-    let report = perf::sweep_smoke(areas, perf::SWEEP_REPS);
-    print!("{}", perf::render_sweep_report(&report));
-    let out = if quick {
-        Path::new("results/BENCH_sweep.json")
-    } else {
-        Path::new("BENCH_sweep.json")
-    };
-    if let Err(e) = write_json(out, &report) {
-        eprintln!("failed to write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", out.display());
-    let Some(path) = baseline_path else {
-        return ExitCode::SUCCESS;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline: perf::SweepBenchReport = match serde_json::from_str(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot parse baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match perf::check_sweep_against(&report, &baseline, 2.0) {
-        Ok(verdict) => {
-            println!("sweep perf gate OK: {verdict}");
-            ExitCode::SUCCESS
-        }
-        Err(verdict) => {
-            eprintln!("sweep perf gate FAILED: {verdict}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the kernel-compile perf smoke (`--bench-json compile` /
-/// `--bench-check-compile`): cold-disk vs warm-disk full lowering,
-/// gated on zero warm recomputes and the disk speedup.
-fn run_compile_smoke(quick: bool, baseline_path: Option<&str>) -> ExitCode {
-    let width = if quick {
-        perf::QUICK_COMPILE_WIDTH
-    } else {
-        perf::COMPILE_WIDTH
-    };
-    let report = perf::compile_smoke(width, perf::COMPILE_REPS);
-    print!("{}", perf::render_compile_report(&report));
-    let out = if quick {
-        Path::new("results/BENCH_compile.json")
-    } else {
-        Path::new("BENCH_compile.json")
-    };
-    if let Err(e) = write_json(out, &report) {
-        eprintln!("failed to write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", out.display());
-    let Some(path) = baseline_path else {
-        return ExitCode::SUCCESS;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline: perf::CompileBenchReport = match serde_json::from_str(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot parse baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match perf::check_compile_against(&report, &baseline, 2.0, 1.2) {
-        Ok(verdict) => {
-            println!("compile perf gate OK: {verdict}");
-            ExitCode::SUCCESS
-        }
-        Err(verdict) => {
-            eprintln!("compile perf gate FAILED: {verdict}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the concurrent-serving perf smoke (`--bench-json serve` /
-/// `--bench-check-serve`): 8 lockstep connections vs 1 sequential one
-/// against cache-off TCP servers, gated on exactly-once execution of
-/// coalesced duplicates and the >= 3x concurrency-scaling floor.
-fn run_serve_smoke(quick: bool, baseline_path: Option<&str>) -> ExitCode {
-    let rounds = if quick {
-        perf::QUICK_SERVE_ROUNDS
-    } else {
-        perf::SERVE_ROUNDS
-    };
-    let report = perf::serve_smoke(perf::SERVE_CONNECTIONS, rounds);
-    print!("{}", perf::render_serve_report(&report));
-    let out = if quick {
-        Path::new("results/BENCH_serve.json")
-    } else {
-        Path::new("BENCH_serve.json")
-    };
-    if let Err(e) = write_json(out, &report) {
-        eprintln!("failed to write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", out.display());
-    let Some(path) = baseline_path else {
-        return ExitCode::SUCCESS;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline: perf::ServeBenchReport = match serde_json::from_str(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot parse baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match perf::check_serve_against(&report, &baseline, 2.0, 3.0) {
-        Ok(verdict) => {
-            println!("serve perf gate OK: {verdict}");
-            ExitCode::SUCCESS
-        }
-        Err(verdict) => {
-            eprintln!("serve perf gate FAILED: {verdict}");
             ExitCode::FAILURE
         }
     }

@@ -12,11 +12,12 @@
 //!   measure how long each regeneration takes and print the headline
 //!   reproduced numbers once per run.
 //!
-//! The `repro --bench-json` / `--bench-check*` perf smokes (module
+//! The `repro --bench-json` / `--bench-check` perf smokes (module
 //! [`perf`]) time the Fig 4 Monte-Carlo panel, the Fig 15
-//! architecture sweep, and the cold-vs-warm-disk kernel compile, and
-//! maintain the committed `BENCH_montecarlo.json` / `BENCH_sweep.json`
-//! / `BENCH_compile.json` baselines that CI gates on.
+//! architecture sweep, the cold-vs-warm-disk kernel compile, and the
+//! concurrent TCP serving layer. All four write one report shape and
+//! maintain the committed `BENCH_<workload>.json` baselines that CI
+//! gates on, each check rerunning its baseline's own workload.
 //!
 //! Experiment ids match the table in [`qods_core`]'s crate docs:
 //! `table1`..`table9`, `sec33`, `fig4`, `fig6`, `fig7`, `fig8`,

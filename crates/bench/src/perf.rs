@@ -1,109 +1,346 @@
-//! Machine-readable performance smokes: the Fig 4 Monte-Carlo panel
-//! (`BENCH_montecarlo.json`), the Fig 15 architecture sweep
-//! (`BENCH_sweep.json`), the staged kernel compile
-//! (`BENCH_compile.json`), and the concurrent TCP serving layer
-//! (`BENCH_serve.json`), so the perf trajectory of every hot path is
-//! tracked across PRs instead of living in commit messages.
+//! Machine-readable performance smokes over four hot paths: the Fig 4
+//! Monte-Carlo panel, the Fig 15 architecture sweep, the staged kernel
+//! compile, and the concurrent TCP serving layer, so the perf
+//! trajectory of each is tracked across PRs instead of living in
+//! commit messages.
 //!
-//! The committed JSON files at the repo root double as perf baselines:
-//! CI re-runs each smoke in quick mode and fails when machine-
-//! normalized throughput regresses more than 2x against them (see
-//! [`check_against`] / [`check_sweep_against`]). Each report includes
-//! a frozen `reference` block measured on the engine it replaced with
-//! this same harness, so the before/after of the rewrites stays
-//! visible.
+//! Every smoke produces the same [`BenchReport`] envelope: the
+//! workload and its size, one gated throughput, a host-speed
+//! calibration, the workload's contract counters, and a detail section
+//! of printed rows. The copies committed at the repo root as
+//! `BENCH_<workload>.json` are the perf baselines: [`check`] gates a
+//! fresh run of a baseline's own workload, at its own size, against
+//! it.
 
 use qods_core::prelude::{
     area_sweep_in, evaluate_prep, log_areas, speedup_summary_from_curves, Arch, Circuit,
     ErrorModel, PrepStrategy, SimContext,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
+use std::path::Path;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Trials per strategy for the full (committed-baseline) smoke.
-pub const SMOKE_TRIALS: u64 = 200_000;
-/// Trials per strategy for the quick (CI) smoke.
-pub const QUICK_TRIALS: u64 = 40_000;
+/// Format tag of every smoke report.
+pub const SCHEMA: &str = "qods-bench-smoke/v1";
 /// Timing repetitions; the best (minimum) wall time is kept, which is
 /// the standard noise filter on shared hosts.
 pub const SMOKE_REPS: u32 = 5;
 /// Seed for every timed run (results are deterministic per seed).
 pub const SMOKE_SEED: u64 = 7;
+/// Trials per strategy of the Monte-Carlo smoke.
+pub const SMOKE_TRIALS: u64 = 200_000;
+/// Area points per curve of the sweep smoke — the paper's Fig 15 grid.
+pub const SWEEP_AREAS: usize = 13;
+/// Operand width of the compile smoke.
+pub const COMPILE_WIDTH: usize = 32;
+/// Connections of the serve smoke.
+pub const SERVE_CONNECTIONS: usize = 8;
+/// Lockstep rounds of the serve smoke.
+pub const SERVE_ROUNDS: usize = 10;
+/// Monte-Carlo trials per served job: sized so one job costs ~100 ms
+/// in release (with fault-free trials fast-forwarded) — two orders of
+/// magnitude above client-thread scheduling skew, which is what makes
+/// the exactly-once coalescing assertion robust rather than a timing
+/// lottery.
+pub const SERVE_TRIALS: u64 = 400_000;
 
-/// One timed panel entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct McBenchEntry {
-    /// Strategy name (paper's Fig 4 label).
-    pub strategy: String,
-    /// Trials run per repetition.
-    pub trials: u64,
-    /// Best wall time over the repetitions, in milliseconds.
-    pub wall_ms: f64,
-    /// Trials per second at the best wall time.
-    pub trials_per_sec: f64,
-    /// Measured uncorrectable rate (sanity anchor: must not drift when
-    /// only performance work happens).
-    pub error_rate: f64,
-    /// Measured discard rate.
-    pub discard_rate: f64,
+/// Largest machine-normalized slowdown against the baseline [`check`]
+/// accepts.
+pub const MAX_SLOWDOWN: f64 = 2.0;
+/// Smallest cold-over-warm-disk compile speedup [`check`] accepts.
+pub const MIN_DISK_SPEEDUP: f64 = 1.2;
+/// Smallest multi- over single-connection serving throughput ratio
+/// [`check`] accepts.
+pub const MIN_SCALING: f64 = 3.0;
+
+/// The four smoke workloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// The Fig 4 panel, single-threaded; size = trials per strategy.
+    Montecarlo,
+    /// The Fig 15 sweep of the three 32-bit benchmarks; size = area
+    /// points per curve.
+    Sweep,
+    /// Every kernel family compiled cold- and warm-disk; size =
+    /// operand width.
+    Compile,
+    /// Lockstep connections against a cache-off TCP server; size =
+    /// rounds.
+    Serve,
 }
 
-/// Frozen numbers from the engine this one replaced, for before/after
-/// comparisons inside the same file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct McReference {
-    /// Provenance of the frozen numbers.
-    pub note: String,
-    /// Per-strategy best wall times (same harness shape), milliseconds.
-    pub per_strategy_ms: Vec<f64>,
-    /// Panel total (sum of per-strategy bests), milliseconds.
-    pub panel_total_ms: f64,
+impl Workload {
+    /// Every workload, in baseline-file order.
+    pub const ALL: [Workload; 4] = [
+        Workload::Montecarlo,
+        Workload::Sweep,
+        Workload::Compile,
+        Workload::Serve,
+    ];
+
+    /// The name reports carry and `BENCH_<name>.json` uses.
+    pub fn name(self) -> &'static str {
+        match self {
+            Workload::Montecarlo => "montecarlo",
+            Workload::Sweep => "sweep",
+            Workload::Compile => "compile",
+            Workload::Serve => "serve",
+        }
+    }
+
+    /// Looks a workload up by name or alias (`mc`/`fig4`, `fig15`,
+    /// `net`).
+    pub fn parse(name: &str) -> Option<Workload> {
+        match name {
+            "montecarlo" | "mc" | "fig4" => Some(Workload::Montecarlo),
+            "sweep" | "fig15" => Some(Workload::Sweep),
+            "compile" => Some(Workload::Compile),
+            "serve" | "net" => Some(Workload::Serve),
+            _ => None,
+        }
+    }
+
+    /// Runs the smoke at the one size its baseline records.
+    pub fn run(self) -> BenchReport {
+        match self {
+            Workload::Montecarlo => montecarlo_smoke(SMOKE_TRIALS, SMOKE_REPS),
+            Workload::Sweep => sweep_smoke(SWEEP_AREAS, SMOKE_REPS),
+            Workload::Compile => compile_smoke(COMPILE_WIDTH, SMOKE_REPS),
+            Workload::Serve => serve_smoke(SERVE_CONNECTIONS, SERVE_ROUNDS),
+        }
+    }
 }
 
-/// The full report written to `BENCH_montecarlo.json`.
+/// One smoke measurement: the shape of every `BENCH_*.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct McBenchReport {
-    /// Format tag.
+pub struct BenchReport {
+    /// Format tag ([`SCHEMA`]).
     pub schema: String,
-    /// Trials per strategy per repetition.
-    pub trials_per_strategy: u64,
+    /// Which smoke ran ([`Workload::name`]).
+    pub workload: String,
+    /// Workload size, in the unit [`Workload`] documents per variant.
+    pub size: u64,
     /// Timing repetitions (best kept).
     pub reps: u32,
-    /// Worker threads (1 = the single-thread speedup criterion).
-    pub threads: usize,
-    /// One entry per Fig 4 strategy, paper order.
-    pub panel: Vec<McBenchEntry>,
-    /// Sum of best wall times, milliseconds.
-    pub panel_total_ms: f64,
-    /// Panel throughput: total trials / panel_total, per second.
-    pub panel_trials_per_sec: f64,
-    /// Host-speed yardstick: best ns/op of a fixed reference-frame
-    /// workload timed in the same process (see [`calibration_ns_per_op`]).
-    /// The CI gate compares `panel_trials_per_sec * calibration_ns_per_op`
-    /// — a machine-normalized quantity — so a baseline from one host
+    /// Host-speed yardstick: best ns/op of a fixed workload timed in
+    /// the same process (see [`calibration_ns_per_op`]). The gate
+    /// compares `throughput * calibration_ns_per_op` — a
+    /// machine-normalized quantity — so a baseline from one host
     /// remains meaningful on another.
     pub calibration_ns_per_op: f64,
-    /// Pre-rewrite engine numbers (only meaningful next to full-smoke
-    /// trials; the quick smoke scales them by trial count).
-    pub reference: McReference,
-    /// `reference.panel_total_ms` over `panel_total_ms`, trial-count
-    /// normalized.
-    pub speedup_vs_reference: f64,
+    /// The gated throughput, in `unit`.
+    pub throughput: f64,
+    /// What `throughput` counts (`trials/s`, `points/s`, ...).
+    pub unit: String,
+    /// Correctness counters gated on every run.
+    pub contracts: Contracts,
+    /// Workload-specific detail: the rows the smoke prints.
+    pub detail: Vec<Row>,
 }
 
-/// Best-of-3 × 200k-trial panel of the engine before this rewrite
-/// (`Vec<bool>` frames, one Bernoulli draw per op, fresh allocations
-/// per trial, static per-thread trial split), measured with this same
-/// harness on the host that produced the committed baseline.
-pub fn reference_baseline() -> McReference {
-    McReference {
-        note: "pre-rewrite engine (PR 1 state): Vec<bool> frames, per-op \
-               Bernoulli sampling, per-trial allocation; best of 3 reps, \
-               200000 trials/strategy, threads=1, same host as the \
-               committed baseline"
-            .to_string(),
-        per_strategy_ms: vec![38.4, 95.6, 133.2, 328.0],
-        panel_total_ms: 595.2,
+/// A workload's correctness counters; `None` where the workload has no
+/// such contract.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct Contracts {
+    /// Compile: stages the warm-disk runs recomputed (must be 0).
+    pub warm_recomputes: Option<u64>,
+    /// Compile: cold over warm-disk wall time (at least
+    /// [`MIN_DISK_SPEEDUP`]).
+    pub disk_speedup: Option<f64>,
+    /// Serve: jobs the multi-connection server executed (must equal
+    /// the rounds: coalesced duplicates execute exactly once).
+    pub executed_jobs: Option<u64>,
+    /// Serve: requests answered by joining an in-flight execution
+    /// (must be positive).
+    pub coalesced_jobs: Option<u64>,
+    /// Serve: multi- over single-connection throughput (at least
+    /// [`MIN_SCALING`]).
+    pub scaling: Option<f64>,
+}
+
+impl Contracts {
+    /// The counters the workload carries, as `name value` pairs.
+    fn describe(&self) -> String {
+        let mut parts = Vec::new();
+        if let Some(n) = self.warm_recomputes {
+            parts.push(format!("warm_recomputes {n}"));
+        }
+        if let Some(s) = self.disk_speedup {
+            parts.push(format!(
+                "disk_speedup {s:.2}x (floor {MIN_DISK_SPEEDUP:.2}x)"
+            ));
+        }
+        if let Some(n) = self.executed_jobs {
+            parts.push(format!("executed_jobs {n}"));
+        }
+        if let Some(n) = self.coalesced_jobs {
+            parts.push(format!("coalesced_jobs {n}"));
+        }
+        if let Some(s) = self.scaling {
+            parts.push(format!("scaling {s:.2}x (floor {MIN_SCALING:.2}x)"));
+        }
+        parts.join(", ")
+    }
+}
+
+/// One printed detail row: a label and its named numbers.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Row {
+    /// What the row measures (a strategy, a benchmark, a kernel, a run).
+    pub label: String,
+    /// Named numbers, in key order.
+    pub values: BTreeMap<String, f64>,
+}
+
+impl Row {
+    fn new<const N: usize>(label: impl Into<String>, values: [(&str, f64); N]) -> Row {
+        Row {
+            label: label.into(),
+            values: values.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+
+    /// A row from a flat struct of numbers, keyed by its field names.
+    fn of(label: &str, fields: &impl Serialize) -> Row {
+        let value = fields.to_value();
+        Row {
+            label: label.to_string(),
+            values: value
+                .as_object()
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                .collect(),
+        }
+    }
+}
+
+/// Renders a report as the human-readable side of the smoke.
+pub fn render(r: &BenchReport) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{} perf smoke (size {}, best of {}): {:.1} {} x {:.2} ns calib",
+        r.workload, r.size, r.reps, r.throughput, r.unit, r.calibration_ns_per_op
+    );
+    for row in &r.detail {
+        let _ = write!(out, "  {:<20}", row.label);
+        for (k, v) in &row.values {
+            if v.fract() == 0.0 || v.abs() >= 1e4 {
+                let _ = write!(out, "  {k} {v:.0}");
+            } else if v.abs() >= 1.0 {
+                let _ = write!(out, "  {k} {v:.2}");
+            } else {
+                let _ = write!(out, "  {k} {v:.3e}");
+            }
+        }
+        out.push('\n');
+    }
+    let contracts = r.contracts.describe();
+    if !contracts.is_empty() {
+        let _ = writeln!(out, "  contracts: {contracts}");
+    }
+    out
+}
+
+/// Reads and parses a baseline report, naming the workload it records.
+///
+/// # Errors
+///
+/// Returns a diagnostic when the file cannot be read, does not parse as
+/// a [`BenchReport`], carries another schema, or names no known
+/// workload.
+pub fn load_baseline(path: &Path) -> Result<(Workload, BenchReport), String> {
+    let shown = path.display();
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {shown}: {e}"))?;
+    let report: BenchReport =
+        serde_json::from_str(&text).map_err(|e| format!("cannot parse baseline {shown}: {e}"))?;
+    if report.schema != SCHEMA {
+        return Err(format!(
+            "baseline {shown} has schema `{}`, expected `{SCHEMA}`",
+            report.schema
+        ));
+    }
+    let workload = Workload::parse(&report.workload).ok_or_else(|| {
+        format!(
+            "baseline {shown} names unknown workload `{}`",
+            report.workload
+        )
+    })?;
+    Ok((workload, report))
+}
+
+/// Gates a fresh smoke against a checked-in baseline. Fails when the
+/// baseline records another workload or size than the one that ran,
+/// when either machine-normalized throughput is not finite and
+/// positive, when the normalized slowdown exceeds [`MAX_SLOWDOWN`], or
+/// when the fresh run breaks one of its [`Contracts`].
+///
+/// # Errors
+///
+/// Returns the verdict plus every broken rule.
+pub fn check(current: &BenchReport, baseline: &BenchReport) -> Result<String, String> {
+    let normalized = |r: &BenchReport| r.throughput * r.calibration_ns_per_op;
+    let (now, then) = (normalized(current), normalized(baseline));
+    let slowdown = then / now;
+    let mut verdict = format!(
+        "{}: current {:.1} {} x {:.2} ns calib vs baseline {:.1} x {:.2} \
+         (normalized slowdown {slowdown:.2}, limit {MAX_SLOWDOWN:.2})",
+        current.workload,
+        current.throughput,
+        current.unit,
+        current.calibration_ns_per_op,
+        baseline.throughput,
+        baseline.calibration_ns_per_op,
+    );
+    let contracts = current.contracts.describe();
+    if !contracts.is_empty() {
+        verdict = format!("{verdict}; {contracts}");
+    }
+    let mut broken = Vec::new();
+    if baseline.workload != current.workload {
+        broken.push(format!(
+            "baseline records workload `{}`, not `{}`",
+            baseline.workload, current.workload
+        ));
+    }
+    if baseline.size != current.size {
+        broken.push(format!(
+            "baseline records size {}, the run used {}",
+            baseline.size, current.size
+        ));
+    }
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if !positive(now) || !positive(then) {
+        broken.push("normalized throughput must be finite and positive".to_string());
+    } else if slowdown > MAX_SLOWDOWN {
+        broken.push("normalized throughput regressed".to_string());
+    }
+    let c = &current.contracts;
+    if c.warm_recomputes.is_some_and(|n| n > 0) {
+        broken.push("warm-disk run recompiled stages".to_string());
+    }
+    if c.disk_speedup.is_some_and(|s| s < MIN_DISK_SPEEDUP) {
+        broken.push("disk cache buys too little".to_string());
+    }
+    if c.executed_jobs.is_some_and(|n| n != current.size) {
+        broken.push("coalesced duplicates must execute exactly once".to_string());
+    }
+    if c.coalesced_jobs == Some(0) {
+        broken.push("nothing coalesced".to_string());
+    }
+    if c.scaling.is_some_and(|s| s < MIN_SCALING) {
+        broken.push("concurrency scaling below the floor".to_string());
+    }
+    if broken.is_empty() {
+        Ok(verdict)
+    } else {
+        Err(format!("{verdict} -- {}", broken.join("; ")))
     }
 }
 
@@ -142,14 +379,16 @@ pub fn calibration_ns_per_op(reps: u32) -> f64 {
 }
 
 /// Runs the timed panel: `reps` repetitions of `trials` Monte-Carlo
-/// trials per Fig 4 strategy, single-threaded, best time kept.
-pub fn montecarlo_smoke(trials: u64, reps: u32) -> McBenchReport {
+/// trials per Fig 4 strategy, single-threaded, best time kept. The
+/// gated throughput is total trials over the summed best times.
+pub fn montecarlo_smoke(trials: u64, reps: u32) -> BenchReport {
     let model = ErrorModel::paper();
     // Warm the caches (and fault in the code paths) once.
     for s in PrepStrategy::ALL {
         let _ = evaluate_prep(s, model, trials.min(2_000), SMOKE_SEED, 1);
     }
-    let mut panel = Vec::new();
+    let mut detail = Vec::new();
+    let mut panel_total_s = 0.0;
     for s in PrepStrategy::ALL {
         let mut best = f64::INFINITY;
         let mut eval = None;
@@ -160,181 +399,31 @@ pub fn montecarlo_smoke(trials: u64, reps: u32) -> McBenchReport {
             eval = Some(e);
         }
         let eval = eval.expect("at least one rep ran");
-        panel.push(McBenchEntry {
-            strategy: s.name().to_string(),
-            trials,
-            wall_ms: best * 1e3,
-            trials_per_sec: trials as f64 / best,
-            error_rate: eval.error_rate(),
-            discard_rate: eval.discard_rate(),
-        });
+        panel_total_s += best;
+        detail.push(Row::new(
+            s.name(),
+            [
+                ("wall_ms", best * 1e3),
+                ("trials_per_sec", trials as f64 / best),
+                // Sanity anchors: must not drift when only
+                // performance work happens.
+                ("error_rate", eval.error_rate()),
+                ("discard_rate", eval.discard_rate()),
+            ],
+        ));
     }
-    let panel_total_ms: f64 = panel.iter().map(|e| e.wall_ms).sum();
+    detail.push(Row::new("panel total", [("wall_ms", panel_total_s * 1e3)]));
     let total_trials = trials * PrepStrategy::ALL.len() as u64;
-    let reference = reference_baseline();
-    // Normalize by trial count so quick smokes still report a
-    // meaningful before/after ratio.
-    let ref_scaled = reference.panel_total_ms * (trials as f64 / SMOKE_TRIALS as f64);
-    McBenchReport {
-        schema: "qods-bench-montecarlo/v1".to_string(),
-        trials_per_strategy: trials,
+    BenchReport {
+        schema: SCHEMA.to_string(),
+        workload: Workload::Montecarlo.name().to_string(),
+        size: trials,
         reps,
-        threads: 1,
-        panel_total_ms,
-        panel_trials_per_sec: total_trials as f64 / (panel_total_ms / 1e3),
         calibration_ns_per_op: calibration_ns_per_op(reps),
-        panel,
-        reference,
-        speedup_vs_reference: ref_scaled / panel_total_ms,
-    }
-}
-
-/// Renders the report as the human-readable side of the smoke.
-pub fn render_report(r: &McBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Monte-Carlo perf smoke ({} trials/strategy, best of {}, {} thread):",
-        r.trials_per_strategy, r.reps, r.threads
-    );
-    for e in &r.panel {
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>9.1} ms  {:>12.0} trials/s  err={:.3e} discard={:.3e}",
-            e.strategy, e.wall_ms, e.trials_per_sec, e.error_rate, e.discard_rate
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  panel total {:.1} ms ({:.0} trials/s); {:.1}x vs pre-rewrite engine",
-        r.panel_total_ms, r.panel_trials_per_sec, r.speedup_vs_reference
-    );
-    out
-}
-
-/// Compares a fresh smoke against a checked-in baseline report.
-/// Returns `Err` with a diagnostic when machine-normalized per-trial
-/// throughput — `panel_trials_per_sec * calibration_ns_per_op`, so
-/// the baseline host's raw speed cancels — regressed by more than
-/// `max_regression` (CI uses 2.0).
-pub fn check_against(
-    current: &McBenchReport,
-    baseline: &McBenchReport,
-    max_regression: f64,
-) -> Result<String, String> {
-    let normalize = |r: &McBenchReport| r.panel_trials_per_sec * r.calibration_ns_per_op;
-    let ratio = normalize(baseline) / normalize(current);
-    let verdict = format!(
-        "normalized panel throughput: current {:.0} trials/s x {:.2} ns calib \
-         vs baseline {:.0} trials/s x {:.2} ns calib \
-         (normalized slowdown {ratio:.2}, limit {max_regression:.2})",
-        current.panel_trials_per_sec,
-        current.calibration_ns_per_op,
-        baseline.panel_trials_per_sec,
-        baseline.calibration_ns_per_op,
-    );
-    if ratio > max_regression {
-        Err(verdict)
-    } else {
-        Ok(verdict)
-    }
-}
-
-/// Area points per curve for the full (committed-baseline) sweep
-/// smoke — the paper's Fig 15 grid.
-pub const SWEEP_AREAS: usize = 13;
-/// Area points for the quick (CI) sweep smoke.
-pub const QUICK_SWEEP_AREAS: usize = 7;
-/// Timing repetitions for the sweep smoke (best kept).
-pub const SWEEP_REPS: u32 = 5;
-
-/// One benchmark's timed Fig 15 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepBenchEntry {
-    /// Benchmark circuit name.
-    pub benchmark: String,
-    /// Lowered gate count.
-    pub gates: usize,
-    /// Best wall time of the full workload (4-arch sweep + headline
-    /// summary) at the report's thread count, milliseconds.
-    pub wall_ms: f64,
-    /// Best wall time of the same workload forced sequential
-    /// (threads = 1), milliseconds.
-    pub serial_wall_ms: f64,
-    /// Headline max speedup (sanity anchor: must not drift when only
-    /// performance work happens).
-    pub max_speedup: f64,
-    /// QLA knee-area penalty vs Fully-Multiplexed (second anchor).
-    pub qla_area_penalty: f64,
-}
-
-/// Frozen numbers from the sweep implementation this one replaced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepReference {
-    /// Provenance of the frozen numbers.
-    pub note: String,
-    /// Per-benchmark best wall times (same workload shape), ms.
-    pub per_benchmark_ms: Vec<f64>,
-    /// Sum of per-benchmark bests, milliseconds.
-    pub total_ms: f64,
-    /// Area points per curve the reference ran.
-    pub areas: usize,
-}
-
-/// The full report written to `BENCH_sweep.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepBenchReport {
-    /// Format tag.
-    pub schema: String,
-    /// Area points per curve.
-    pub areas: usize,
-    /// Timing repetitions (best kept).
-    pub reps: u32,
-    /// Worker threads used for the parallel timing (one per core).
-    pub threads: usize,
-    /// One entry per benchmark circuit.
-    pub panel: Vec<SweepBenchEntry>,
-    /// Sum of best parallel wall times, milliseconds.
-    pub total_ms: f64,
-    /// Sum of best sequential wall times, milliseconds.
-    pub serial_total_ms: f64,
-    /// Sweep throughput: simulated `(arch, area)` points per second at
-    /// the *sequential* total. The CI gate normalizes this quantity,
-    /// and the single-threaded calibration below can only cancel host
-    /// speed for a single-threaded measurement — deriving it from the
-    /// parallel total would let per-point regressions hide behind the
-    /// runner's core count (and fail honest runs on smaller hosts).
-    pub points_per_sec: f64,
-    /// Host-speed yardstick shared with the Monte-Carlo smoke; the CI
-    /// gate compares `points_per_sec * calibration_ns_per_op`.
-    pub calibration_ns_per_op: f64,
-    /// Pre-rewrite sweep numbers (area-count normalized when the quick
-    /// smoke runs a smaller grid).
-    pub reference: SweepReference,
-    /// Reference total over `total_ms`, area-count normalized — the
-    /// headline improvement of the event-engine rewrite.
-    pub speedup_vs_reference: f64,
-    /// `serial_total_ms / total_ms` — what the worker pool itself
-    /// buys on this host (1.0 on a single-core box).
-    pub parallel_speedup: f64,
-}
-
-/// Best-of-5 x 13-area Fig 15 sweeps of the simulator before the
-/// event-engine rewrite (per-call Dag/schedule/demand rebuild, string
-/// of `simulate()` calls, summary re-sweeping three architectures),
-/// measured with this same harness on the host that produced the
-/// committed baseline.
-pub fn sweep_reference_baseline() -> SweepReference {
-    SweepReference {
-        note: "pre-rewrite simulator (PR 2 state): per-call Dag + \
-               speed-of-data + demand-mix rebuild, sequential sweep, \
-               speedup_summary re-sweeping 3 archs; best of 5 reps, \
-               13 areas, threads=1, same host as the committed baseline"
-            .to_string(),
-        per_benchmark_ms: vec![31.151, 35.270, 171.942],
-        total_ms: 241.687,
-        areas: 13,
+        throughput: total_trials as f64 / panel_total_s,
+        unit: "trials/s".to_string(),
+        contracts: Contracts::default(),
+        detail,
     }
 }
 
@@ -357,11 +446,18 @@ fn sweep_workload(ctx: &SimContext<'_>, areas: &[f64], threads: usize) -> (f64, 
 /// Runs the timed Fig 15 sweep smoke: `reps` repetitions per
 /// benchmark, parallel (one worker per core) and sequential, best
 /// times kept.
-pub fn sweep_smoke(areas_n: usize, reps: u32) -> SweepBenchReport {
+///
+/// The gated throughput is simulated `(arch, area)` points per second
+/// at the *sequential* total: the single-threaded calibration can only
+/// cancel host speed for a single-threaded measurement, so deriving it
+/// from the parallel total would let per-point regressions hide behind
+/// the runner's core count (and fail honest runs on smaller hosts).
+pub fn sweep_smoke(areas_n: usize, reps: u32) -> BenchReport {
     let circuits = sweep_benchmarks();
     let areas = log_areas(200.0, 3e6, areas_n);
     let threads = qods_core::arch::sweep::host_threads();
-    let mut panel = Vec::new();
+    let mut detail = Vec::new();
+    let (mut total_s, mut serial_total_s) = (0.0, 0.0);
     for c in &circuits {
         let ctx = SimContext::new(c);
         // Warm caches and fault in the code paths once.
@@ -377,227 +473,56 @@ pub fn sweep_smoke(areas_n: usize, reps: u32) -> SweepBenchReport {
             let _ = sweep_workload(&ctx, &areas, 1);
             best_serial = best_serial.min(t1.elapsed().as_secs_f64());
         }
-        panel.push(SweepBenchEntry {
-            benchmark: c.name.clone(),
-            gates: c.len(),
-            wall_ms: best * 1e3,
-            serial_wall_ms: best_serial * 1e3,
-            max_speedup: anchors.0,
-            qla_area_penalty: anchors.1,
-        });
+        total_s += best;
+        serial_total_s += best_serial;
+        detail.push(Row::new(
+            c.name.clone(),
+            [
+                ("gates", c.len() as f64),
+                ("wall_ms", best * 1e3),
+                ("serial_wall_ms", best_serial * 1e3),
+                // Sanity anchors: the headline max speedup and the QLA
+                // knee-area penalty must not drift when only
+                // performance work happens.
+                ("max_speedup", anchors.0),
+                ("qla_area_penalty", anchors.1),
+            ],
+        ));
     }
-    let total_ms: f64 = panel.iter().map(|e| e.wall_ms).sum();
-    let serial_total_ms: f64 = panel.iter().map(|e| e.serial_wall_ms).sum();
+    detail.push(Row::new(
+        "total",
+        [
+            ("threads", threads as f64),
+            ("wall_ms", total_s * 1e3),
+            ("serial_wall_ms", serial_total_s * 1e3),
+            ("parallel_speedup", serial_total_s / total_s),
+        ],
+    ));
     // 4 architectures per benchmark, one simulation per (arch, area).
     let total_points = (4 * areas_n * circuits.len()) as f64;
-    let reference = sweep_reference_baseline();
-    // Normalize by area count so quick smokes still report a
-    // meaningful before/after ratio (points scale linearly).
-    let ref_scaled = reference.total_ms * (areas_n as f64 / reference.areas as f64);
-    SweepBenchReport {
-        schema: "qods-bench-sweep/v1".to_string(),
-        areas: areas_n,
+    BenchReport {
+        schema: SCHEMA.to_string(),
+        workload: Workload::Sweep.name().to_string(),
+        size: areas_n as u64,
         reps,
-        threads,
-        total_ms,
-        serial_total_ms,
-        points_per_sec: total_points / (serial_total_ms / 1e3),
         calibration_ns_per_op: calibration_ns_per_op(reps),
-        panel,
-        reference,
-        speedup_vs_reference: ref_scaled / total_ms,
-        parallel_speedup: serial_total_ms / total_ms,
+        throughput: total_points / serial_total_s,
+        unit: "points/s".to_string(),
+        contracts: Contracts::default(),
+        detail,
     }
-}
-
-/// Renders the sweep report as the human-readable side of the smoke.
-pub fn render_sweep_report(r: &SweepBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig 15 sweep perf smoke ({} areas, best of {}, {} thread(s)):",
-        r.areas, r.reps, r.threads
-    );
-    for e in &r.panel {
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>6} gates  {:>8.2} ms parallel  {:>8.2} ms serial  \
-             speedup {:.1}x  qla-area {:.0}x",
-            e.benchmark, e.gates, e.wall_ms, e.serial_wall_ms, e.max_speedup, e.qla_area_penalty
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  total {:.1} ms parallel / {:.1} ms serial ({:.0} points/s serial); \
-         {:.1}x vs pre-rewrite sweep, {:.2}x from the worker pool",
-        r.total_ms, r.serial_total_ms, r.points_per_sec, r.speedup_vs_reference, r.parallel_speedup
-    );
-    out
-}
-
-/// Compares a fresh sweep smoke against a checked-in baseline report
-/// with the same machine-normalized rule as [`check_against`]:
-/// `points_per_sec * calibration_ns_per_op` cancels host speed, and a
-/// normalized slowdown beyond `max_regression` fails.
-pub fn check_sweep_against(
-    current: &SweepBenchReport,
-    baseline: &SweepBenchReport,
-    max_regression: f64,
-) -> Result<String, String> {
-    let normalize = |r: &SweepBenchReport| r.points_per_sec * r.calibration_ns_per_op;
-    let ratio = normalize(baseline) / normalize(current);
-    let verdict = format!(
-        "normalized sweep throughput: current {:.0} points/s x {:.2} ns calib \
-         vs baseline {:.0} points/s x {:.2} ns calib \
-         (normalized slowdown {ratio:.2}, limit {max_regression:.2})",
-        current.points_per_sec,
-        current.calibration_ns_per_op,
-        baseline.points_per_sec,
-        baseline.calibration_ns_per_op,
-    );
-    if ratio > max_regression {
-        Err(verdict)
-    } else {
-        Ok(verdict)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_report_roundtrips_and_checks() {
-        let r = montecarlo_smoke(2_000, 1);
-        assert_eq!(r.panel.len(), 4);
-        assert!(r.panel_total_ms > 0.0);
-        assert!(r.panel_trials_per_sec > 0.0);
-        let json = serde_json::to_string_pretty(&r).expect("serialize");
-        let back: McBenchReport = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.panel.len(), 4);
-        assert_eq!(back.trials_per_strategy, 2_000);
-        // A run can never regress >2x against itself.
-        let verdict = check_against(&back, &r, 2.0);
-        assert!(verdict.is_ok(), "{verdict:?}");
-        // And a 3x-slower run must fail the gate.
-        let mut slow = r.clone();
-        slow.panel_trials_per_sec /= 3.0;
-        assert!(check_against(&slow, &r, 2.0).is_err());
-    }
-
-    #[test]
-    fn sweep_report_roundtrips_and_gate_fires() {
-        // Synthetic report: the JSON contract and the normalized gate,
-        // without paying for 32-bit kernel lowering in a debug test
-        // (CI's quick smoke runs the real thing in release).
-        let r = SweepBenchReport {
-            schema: "qods-bench-sweep/v1".to_string(),
-            areas: 13,
-            reps: 5,
-            threads: 4,
-            panel: vec![SweepBenchEntry {
-                benchmark: "QRCA-32".to_string(),
-                gates: 1234,
-                wall_ms: 10.0,
-                serial_wall_ms: 30.0,
-                max_speedup: 6.2,
-                qla_area_penalty: 11.0,
-            }],
-            total_ms: 10.0,
-            serial_total_ms: 30.0,
-            points_per_sec: 5200.0,
-            calibration_ns_per_op: 2.0,
-            reference: sweep_reference_baseline(),
-            speedup_vs_reference: 24.0,
-            parallel_speedup: 3.0,
-        };
-        let json = serde_json::to_string_pretty(&r).expect("serialize");
-        let back: SweepBenchReport = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.panel.len(), 1);
-        assert_eq!(back.areas, 13);
-        // A run never regresses >2x against itself...
-        assert!(check_sweep_against(&back, &r, 2.0).is_ok());
-        // ...and a 3x normalized slowdown fails the gate.
-        let mut slow = r.clone();
-        slow.points_per_sec /= 3.0;
-        assert!(check_sweep_against(&slow, &r, 2.0).is_err());
-        // The frozen reference keeps the pre-rewrite grid.
-        assert_eq!(r.reference.areas, 13);
-        assert!((r.reference.total_ms - 241.687).abs() < 1e-9);
-    }
-
-    #[test]
-    fn smoke_rates_are_deterministic() {
-        let a = montecarlo_smoke(4_000, 1);
-        let b = montecarlo_smoke(4_000, 2);
-        for (x, y) in a.panel.iter().zip(&b.panel) {
-            assert_eq!(x.error_rate, y.error_rate, "{}", x.strategy);
-            assert_eq!(x.discard_rate, y.discard_rate, "{}", x.strategy);
-        }
-    }
-}
-
-/// Timing repetitions for the compile smoke (best kept).
-pub const COMPILE_REPS: u32 = 5;
-/// Operand width of the full (committed-baseline) compile smoke.
-pub const COMPILE_WIDTH: usize = 32;
-/// Operand width of the quick (CI) compile smoke.
-pub const QUICK_COMPILE_WIDTH: usize = 8;
-
-/// One kernel of the timed compile workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompileBenchEntry {
-    /// The spec (`family:width`).
-    pub spec: String,
-    /// Lowered physical gate count (sanity anchor).
-    pub gates: usize,
-}
-
-/// The full report written to `BENCH_compile.json`: cold-disk vs
-/// warm-disk full lowering of every kernel family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CompileBenchReport {
-    /// Format tag.
-    pub schema: String,
-    /// Operand width every family was compiled at.
-    pub width: usize,
-    /// Timing repetitions (best kept).
-    pub reps: u32,
-    /// The compiled kernel set.
-    pub panel: Vec<CompileBenchEntry>,
-    /// Best wall time of the full set with an *empty* disk store
-    /// (every stage computed), milliseconds, threads = 1.
-    pub cold_ms: f64,
-    /// Best wall time of the full set through a fresh in-process
-    /// store over the *warm* disk store (every stage deserialized),
-    /// milliseconds, threads = 1.
-    pub warm_ms: f64,
-    /// Stages recomputed during the warm runs — the cache contract:
-    /// must be 0, and the gate hard-fails otherwise.
-    pub warm_computed: u64,
-    /// `cold_ms / warm_ms` — what the persistent artifact store buys
-    /// a cold process.
-    pub disk_speedup: f64,
-    /// Cold-path compile throughput (lowered gates per second) at the
-    /// best cold time. Gate throughput — unlike kernels per second —
-    /// is roughly width-invariant, so the quick smoke stays
-    /// comparable against the full-width committed baseline.
-    pub gates_per_sec: f64,
-    /// Host-speed yardstick shared with the other smokes; the CI gate
-    /// compares `gates_per_sec * calibration_ns_per_op`.
-    pub calibration_ns_per_op: f64,
 }
 
 /// Runs the timed compile smoke: every kernel family at `width`,
-/// cold-disk vs warm-disk, single-threaded, best of `reps`.
+/// cold-disk vs warm-disk, single-threaded, best of `reps`. The gated
+/// throughput is cold-path lowered gates per second.
 ///
 /// # Panics
 ///
 /// Panics when a warm run recomputes anything or disagrees with the
 /// cold compilation — either would mean the artifact store is broken,
 /// which no perf number should paper over.
-pub fn compile_smoke(width: usize, reps: u32) -> CompileBenchReport {
+pub fn compile_smoke(width: usize, reps: u32) -> BenchReport {
     use qods_core::compile::{ArtifactStore, Compiler, SynthBudget};
     use qods_core::kernels::{KernelFamily, KernelSpec};
     use std::sync::Arc;
@@ -652,167 +577,62 @@ pub fn compile_smoke(width: usize, reps: u32) -> CompileBenchReport {
     let _ = std::fs::remove_dir_all(&dir);
 
     let total_gates: usize = cold_panel.iter().map(|k| k.scheduled.circuit.len()).sum();
-    CompileBenchReport {
-        schema: "qods-bench-compile/v1".to_string(),
-        width,
+    let mut detail: Vec<Row> = cold_panel
+        .iter()
+        .map(|k| {
+            Row::new(
+                k.spec.to_string(),
+                [("gates", k.scheduled.circuit.len() as f64)],
+            )
+        })
+        .collect();
+    detail.push(Row::new("cold-disk", [("wall_ms", cold_best * 1e3)]));
+    detail.push(Row::new("warm-disk", [("wall_ms", warm_best * 1e3)]));
+    BenchReport {
+        schema: SCHEMA.to_string(),
+        workload: Workload::Compile.name().to_string(),
+        size: width as u64,
         reps,
-        panel: cold_panel
-            .iter()
-            .map(|k| CompileBenchEntry {
-                spec: k.spec.to_string(),
-                gates: k.scheduled.circuit.len(),
-            })
-            .collect(),
-        cold_ms: cold_best * 1e3,
-        warm_ms: warm_best * 1e3,
-        warm_computed,
-        disk_speedup: cold_best / warm_best,
-        gates_per_sec: total_gates as f64 / cold_best,
         calibration_ns_per_op: calibration_ns_per_op(reps),
+        throughput: total_gates as f64 / cold_best,
+        unit: "gates/s".to_string(),
+        contracts: Contracts {
+            warm_recomputes: Some(warm_computed),
+            disk_speedup: Some(cold_best / warm_best),
+            ..Contracts::default()
+        },
+        detail,
     }
 }
 
-/// Renders the compile report as the human-readable side of the smoke.
-pub fn render_compile_report(r: &CompileBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Compile perf smoke ({} families at width {}, best of {}, 1 thread):",
-        r.panel.len(),
-        r.width,
-        r.reps
+/// Starts an in-process TCP server on an ephemeral loopback port:
+/// `workers` engine threads, the result cache on or off, and room for
+/// `2 * connections` jobs in flight so every client connection is
+/// admitted at once (its callers measure throughput, not shedding).
+/// Returns the bound address and the serving thread, which exits after
+/// a `shutdown` verb.
+pub fn loopback_server(
+    workers: usize,
+    caching: bool,
+    connections: usize,
+) -> (SocketAddr, JoinHandle<()>) {
+    use qods_core::study::StudyConfig;
+    use qods_net::{NetServer, ServeCore, ServeOptions};
+    use qods_service::Scheduler;
+    use std::sync::Arc;
+
+    let scheduler = Scheduler::with_options(StudyConfig::smoke(), workers, caching);
+    let core = ServeCore::new(
+        scheduler,
+        ServeOptions {
+            max_inflight: 2 * connections,
+            ..ServeOptions::default()
+        },
     );
-    for e in &r.panel {
-        let _ = writeln!(out, "  {:<12} {:>7} gates", e.spec, e.gates);
-    }
-    let _ = writeln!(
-        out,
-        "  cold-disk {:.1} ms, warm-disk {:.1} ms: {:.1}x from the artifact store \
-         ({} stages recomputed warm)",
-        r.cold_ms, r.warm_ms, r.disk_speedup, r.warm_computed
-    );
-    out
-}
-
-/// Compares a fresh compile smoke against a checked-in baseline:
-/// fails when machine-normalized cold-compile throughput regressed
-/// more than `max_regression`, when the warm run recomputed anything,
-/// or when the disk speedup fell below `min_disk_speedup` (CI uses
-/// 2.0 / 1.2).
-pub fn check_compile_against(
-    current: &CompileBenchReport,
-    baseline: &CompileBenchReport,
-    max_regression: f64,
-    min_disk_speedup: f64,
-) -> Result<String, String> {
-    let normalize = |r: &CompileBenchReport| r.gates_per_sec * r.calibration_ns_per_op;
-    let ratio = normalize(baseline) / normalize(current);
-    let verdict = format!(
-        "cold compile: current {:.0} gates/s x {:.2} ns calib vs baseline {:.0} x {:.2} \
-         (normalized slowdown {ratio:.2}, limit {max_regression:.2}); \
-         disk speedup {:.2}x (floor {min_disk_speedup:.2}x), {} warm recomputes",
-        current.gates_per_sec,
-        current.calibration_ns_per_op,
-        baseline.gates_per_sec,
-        baseline.calibration_ns_per_op,
-        current.disk_speedup,
-        current.warm_computed,
-    );
-    if current.warm_computed > 0 {
-        return Err(format!("{verdict} -- warm-disk run recompiled stages"));
-    }
-    if current.disk_speedup < min_disk_speedup {
-        return Err(format!("{verdict} -- disk cache buys too little"));
-    }
-    if ratio > max_regression {
-        return Err(verdict);
-    }
-    Ok(verdict)
-}
-
-/// The serving layer's latency accounting, re-exported so bench
-/// callers (the load generator, external harnesses) address one
-/// crate: `qods_bench::perf::LatencyHistogram` *is*
-/// [`qods_service::stats::LatencyHistogram`] — the same type the
-/// `stats` verb reports through.
-pub use qods_service::stats::{LatencyHistogram, LatencySummary};
-
-/// Connections for the committed serve smoke (the ISSUE's workload).
-pub const SERVE_CONNECTIONS: usize = 8;
-/// Lockstep rounds for the full (committed-baseline) serve smoke.
-pub const SERVE_ROUNDS: usize = 10;
-/// Lockstep rounds for the quick (CI) serve smoke.
-pub const QUICK_SERVE_ROUNDS: usize = 5;
-/// Monte-Carlo trials per served job: sized so one job costs ~100 ms
-/// in release (with fault-free trials fast-forwarded) — two orders of
-/// magnitude above client-thread scheduling skew, which is what makes
-/// the exactly-once coalescing assertion below robust rather than a
-/// timing lottery.
-pub const SERVE_TRIALS: u64 = 400_000;
-
-/// The serving path's robustness counters, carried in
-/// `BENCH_serve.json` so the chaos-hardening work stays visible next
-/// to the throughput numbers. Since schema v3 this is the *same*
-/// [`RobustnessSnapshot`] the `stats` verb serves — one shape, read
-/// straight off the server's stats line, so the bench report and the
-/// verb can never drift apart. Client-side retries are a separate
-/// report field ([`ServeBenchReport::client_retries`]): they are
-/// counted by the clients, not the server.
-pub use qods_obs::RobustnessSnapshot;
-
-/// The full report written to `BENCH_serve.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchReport {
-    /// Format tag.
-    pub schema: String,
-    /// Concurrent client connections in the multi-connection run.
-    pub connections: usize,
-    /// Lockstep rounds; each round is one fresh configuration that
-    /// every connection requests simultaneously.
-    pub rounds: usize,
-    /// Requests answered per run (`rounds * connections`, both runs).
-    pub requests_total: usize,
-    /// Fraction of requests that duplicate another in-flight request
-    /// (`1 - 1/connections`: everything but each round's leader).
-    pub repeat_fraction: f64,
-    /// Monte-Carlo trials per job (the per-job cost knob).
-    pub trials_per_job: u64,
-    /// Wall seconds for one connection submitting all requests
-    /// sequentially against a cache-off server (nothing coalesces,
-    /// nothing is cached: every duplicate pays full price).
-    pub single_wall_s: f64,
-    /// Requests per second of the single-connection baseline.
-    pub single_rps: f64,
-    /// Wall seconds for `connections` lockstep connections against an
-    /// identical cache-off server (duplicates coalesce in flight).
-    pub multi_wall_s: f64,
-    /// Requests per second of the multi-connection run.
-    pub multi_rps: f64,
-    /// `multi_rps / single_rps` — the serving layer's concurrency
-    /// win. Coalescing alone collapses each round's `connections`
-    /// duplicates onto one execution, so this holds on a single-core
-    /// host; worker parallelism only adds to it.
-    pub scaling: f64,
-    /// Jobs the multi-connection server actually executed — the
-    /// exactly-once contract: must equal `rounds`, and the gate
-    /// hard-fails otherwise.
-    pub executed_jobs: u64,
-    /// Requests answered by joining an in-flight execution (must be
-    /// `rounds * (connections - 1)` when coalescing is airtight).
-    pub coalesced_jobs: u64,
-    /// Client-observed per-request latency over the multi-connection
-    /// run, from the same [`LatencyHistogram`] the `stats` verb uses.
-    pub latency: LatencySummary,
-    /// Robustness counters from the multi-connection run's server
-    /// (the `stats` verb's nested `robustness` object, verbatim).
-    pub robustness: RobustnessSnapshot,
-    /// Client-side transparent retries over the multi-connection run
-    /// (overloaded / timeout / reset; counted by the clients).
-    pub client_retries: u64,
-    /// Host-speed yardstick shared with the other smokes; the CI gate
-    /// compares `multi_rps * calibration_ns_per_op`.
-    pub calibration_ns_per_op: f64,
+    let server = NetServer::bind(Arc::new(core), "127.0.0.1:0").expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.serve().expect("loopback server serves"));
+    (addr, handle)
 }
 
 /// One serve-smoke job line: round `round` as seen from client
@@ -827,58 +647,36 @@ fn serve_job_line(round: usize, client: usize) -> String {
     )
 }
 
-/// Starts an in-process cache-off TCP server for the smoke. Caching
-/// is off so the counters prove *in-flight coalescing*, not the
-/// content-addressed cache (which the service smokes already gate);
-/// one worker thread so the scaling number can only come from the
-/// serving layer, never from engine parallelism.
-fn serve_smoke_server() -> (
-    std::net::SocketAddr,
-    std::thread::JoinHandle<()>,
-    std::sync::Arc<qods_net::ServeCore>,
-) {
-    use qods_core::study::StudyConfig;
-    use qods_net::{NetServer, ServeCore, ServeOptions};
-    use qods_service::Scheduler;
-    use std::sync::Arc;
-
-    let scheduler = Scheduler::with_options(StudyConfig::smoke(), 1, false);
-    let core = Arc::new(ServeCore::new(
-        scheduler,
-        ServeOptions {
-            max_inflight: 2 * SERVE_CONNECTIONS,
-            ..ServeOptions::default()
-        },
-    ));
-    let server = NetServer::bind(Arc::clone(&core), "127.0.0.1:0").expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.serve().expect("smoke server serves"));
-    (addr, handle, core)
-}
-
 /// Runs the concurrent-serving smoke: the same `rounds x connections`
 /// request stream (every round one fresh config, duplicated across
 /// all connections) against two identical cache-off servers — once
 /// over a single connection sequentially, once over `connections`
-/// lockstep connections — and reports the throughput scaling plus the
-/// coalescing counters that prove duplicates executed exactly once.
+/// lockstep connections — and reports the multi-connection throughput
+/// plus the coalescing counters that prove duplicates executed exactly
+/// once.
 ///
 /// # Panics
 ///
 /// Panics when a request errors or a transport fails — a broken
 /// server is not a perf number.
-pub fn serve_smoke(connections: usize, rounds: usize) -> ServeBenchReport {
+pub fn serve_smoke(connections: usize, rounds: usize) -> BenchReport {
     use qods_net::Client;
+    use qods_obs::LatencyHistogram;
     use std::sync::{Arc, Barrier};
 
     let connections = connections.max(2);
     let rounds = rounds.max(1);
     let requests_total = rounds * connections;
+    // Caching is off so the counters prove *in-flight coalescing*, not
+    // the content-addressed cache (which the service smokes already
+    // gate); one worker thread so the scaling number can only come
+    // from the serving layer, never from engine parallelism.
+    let serve_smoke_server = || loopback_server(1, false, connections);
 
     // Warm the code paths (and the in-process artifact store) once so
     // neither run pays one-time compilation.
     {
-        let (addr, server, _core) = serve_smoke_server();
+        let (addr, server) = serve_smoke_server();
         let mut c = Client::connect(addr).expect("connect warmup");
         let line = "{\"experiments\":[\"fig4\"],\"overrides\":{\"mc_trials\":2000}}";
         let r = c.roundtrip(line).expect("warmup").expect("warmup answers");
@@ -890,7 +688,7 @@ pub fn serve_smoke(connections: usize, rounds: usize) -> ServeBenchReport {
     // Single-connection baseline: every request in sequence; with the
     // cache off each of the `connections` duplicates per round pays
     // the full computation.
-    let (addr, server, _core) = serve_smoke_server();
+    let (addr, server) = serve_smoke_server();
     let mut client = Client::connect(addr).expect("connect baseline");
     let t0 = Instant::now();
     for round in 0..rounds {
@@ -910,7 +708,7 @@ pub fn serve_smoke(connections: usize, rounds: usize) -> ServeBenchReport {
     // each round's duplicates arrive together and coalesce onto one
     // execution. Latency is recorded client-side into the shared
     // lock-free histogram.
-    let (addr, server, core) = serve_smoke_server();
+    let (addr, server) = serve_smoke_server();
     let barrier = Arc::new(Barrier::new(connections + 1));
     let latency = Arc::new(LatencyHistogram::new());
     let retries = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -948,204 +746,176 @@ pub fn serve_smoke(connections: usize, rounds: usize) -> ServeBenchReport {
     let stats = probe.stats().expect("stats verb");
     probe.shutdown().expect("smoke shutdown");
     server.join().expect("smoke server exits");
-    drop(core);
 
     let single_rps = requests_total as f64 / single_wall_s;
     let multi_rps = requests_total as f64 / multi_wall_s;
-    ServeBenchReport {
-        schema: "qods-bench-serve/v3".to_string(),
-        connections,
-        rounds,
-        requests_total,
-        repeat_fraction: 1.0 - 1.0 / connections as f64,
-        trials_per_job: SERVE_TRIALS,
-        single_wall_s,
-        single_rps,
-        multi_wall_s,
-        multi_rps,
-        scaling: multi_rps / single_rps,
-        executed_jobs: stats.executed,
-        coalesced_jobs: stats.coalesced,
-        latency: latency.summary(),
-        robustness: stats.robustness,
-        client_retries: retries.load(std::sync::atomic::Ordering::Relaxed),
+    let detail = vec![
+        Row::new(
+            "jobs",
+            [
+                ("connections", connections as f64),
+                ("trials_per_job", SERVE_TRIALS as f64),
+                ("requests_total", requests_total as f64),
+            ],
+        ),
+        // Every duplicate recomputed.
+        Row::new(
+            "single",
+            [("wall_s", single_wall_s), ("req_per_s", single_rps)],
+        ),
+        // Duplicates coalesce in flight; retries are client-side.
+        Row::new(
+            "multi",
+            [
+                ("wall_s", multi_wall_s),
+                ("req_per_s", multi_rps),
+                (
+                    "client_retries",
+                    retries.load(std::sync::atomic::Ordering::Relaxed) as f64,
+                ),
+            ],
+        ),
+        Row::of("latency", &latency.summary()),
+        // The `stats` verb's robustness counters, verbatim.
+        Row::of("robustness", &stats.robustness),
+    ];
+    BenchReport {
+        schema: SCHEMA.to_string(),
+        workload: Workload::Serve.name().to_string(),
+        size: rounds as u64,
+        reps: 1,
         calibration_ns_per_op: calibration_ns_per_op(SMOKE_REPS),
+        throughput: multi_rps,
+        unit: "req/s".to_string(),
+        contracts: Contracts {
+            executed_jobs: Some(stats.executed),
+            coalesced_jobs: Some(stats.coalesced),
+            // Coalescing alone collapses each round's duplicates onto
+            // one execution, so this holds on a single-core host.
+            scaling: Some(multi_rps / single_rps),
+            ..Contracts::default()
+        },
+        detail,
     }
-}
-
-/// Renders the serve report as the human-readable side of the smoke.
-pub fn render_serve_report(r: &ServeBenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Concurrent serving smoke ({} connections x {} rounds, {:.0}% duplicates, \
-         {} trials/job, cache off):",
-        r.connections,
-        r.rounds,
-        100.0 * r.repeat_fraction,
-        r.trials_per_job
-    );
-    let _ = writeln!(
-        out,
-        "  single connection: {:>7.3} s  ({:>6.1} req/s, every duplicate recomputed)",
-        r.single_wall_s, r.single_rps
-    );
-    let _ = writeln!(
-        out,
-        "  {} connections:     {:>7.3} s  ({:>6.1} req/s, {} executions + {} coalesced)",
-        r.connections, r.multi_wall_s, r.multi_rps, r.executed_jobs, r.coalesced_jobs
-    );
-    let _ = writeln!(
-        out,
-        "  scaling {:.1}x; client latency p50 {:.1} ms / p99 {:.1} ms / max {:.1} ms",
-        r.scaling,
-        r.latency.p50_us / 1e3,
-        r.latency.p99_us / 1e3,
-        r.latency.max_us / 1e3
-    );
-    let _ = writeln!(
-        out,
-        "  robustness: {} panics caught, {} deadlines exceeded, {} lines \
-         rejected, {} idle reaped; {} client retries",
-        r.robustness.panics_caught,
-        r.robustness.deadline_exceeded,
-        r.robustness.lines_rejected,
-        r.robustness.idle_reaped,
-        r.client_retries
-    );
-    out
-}
-
-/// Compares a fresh serve smoke against a checked-in baseline:
-/// fails when coalesced duplicates did not execute exactly once
-/// (`executed_jobs != rounds`), when nothing coalesced at all, when
-/// throughput scaling fell below `min_scaling` (CI uses 3.0, the
-/// ISSUE's floor), or when machine-normalized multi-connection
-/// throughput regressed more than `max_regression` (CI uses 2.0).
-pub fn check_serve_against(
-    current: &ServeBenchReport,
-    baseline: &ServeBenchReport,
-    max_regression: f64,
-    min_scaling: f64,
-) -> Result<String, String> {
-    let normalize = |r: &ServeBenchReport| r.multi_rps * r.calibration_ns_per_op;
-    let ratio = normalize(baseline) / normalize(current);
-    let verdict = format!(
-        "serving: {} executions for {} rounds, {} coalesced; scaling {:.2}x \
-         (floor {min_scaling:.2}x); current {:.1} req/s x {:.2} ns calib vs \
-         baseline {:.1} req/s x {:.2} ns calib (normalized slowdown {ratio:.2}, \
-         limit {max_regression:.2})",
-        current.executed_jobs,
-        current.rounds,
-        current.coalesced_jobs,
-        current.scaling,
-        current.multi_rps,
-        current.calibration_ns_per_op,
-        baseline.multi_rps,
-        baseline.calibration_ns_per_op,
-    );
-    if current.executed_jobs != current.rounds as u64 {
-        return Err(format!(
-            "{verdict} -- coalesced duplicates must execute exactly once"
-        ));
-    }
-    if current.coalesced_jobs == 0 {
-        return Err(format!("{verdict} -- nothing coalesced"));
-    }
-    if current.scaling < min_scaling {
-        return Err(format!("{verdict} -- concurrency scaling below the floor"));
-    }
-    if ratio > max_regression {
-        return Err(verdict);
-    }
-    Ok(verdict)
 }
 
 #[cfg(test)]
-mod serve_tests {
+mod tests {
     use super::*;
 
-    fn synthetic_serve_report() -> ServeBenchReport {
-        // Synthetic report: the JSON contract and the gate logic,
-        // without paying for 80 x ~100 ms served jobs in a debug test
-        // (CI's quick smoke runs the real thing in release).
-        ServeBenchReport {
-            schema: "qods-bench-serve/v3".to_string(),
-            connections: 8,
-            rounds: 10,
-            requests_total: 80,
-            repeat_fraction: 0.875,
-            trials_per_job: SERVE_TRIALS,
-            single_wall_s: 8.0,
-            single_rps: 10.0,
-            multi_wall_s: 1.2,
-            multi_rps: 66.7,
-            scaling: 6.67,
-            executed_jobs: 10,
-            coalesced_jobs: 70,
-            latency: LatencySummary {
-                count: 80,
-                mean_us: 105_000.0,
-                p50_us: 101_000.0,
-                p99_us: 140_000.0,
-                max_us: 150_000.0,
-            },
-            robustness: RobustnessSnapshot::default(),
-            client_retries: 0,
+    /// A report that passes against itself and carries every contract
+    /// counter, so one fixture reaches every rule of [`check`].
+    fn good() -> BenchReport {
+        BenchReport {
+            schema: SCHEMA.to_string(),
+            workload: "serve".to_string(),
+            size: 10,
+            reps: 1,
             calibration_ns_per_op: 2.0,
+            throughput: 64.0,
+            unit: "req/s".to_string(),
+            contracts: Contracts {
+                warm_recomputes: Some(0),
+                disk_speedup: Some(15.0),
+                executed_jobs: Some(10),
+                coalesced_jobs: Some(70),
+                scaling: Some(7.0),
+            },
+            detail: vec![Row::new("multi", [("wall_s", 1.25)])],
         }
     }
 
     #[test]
-    fn serve_report_roundtrips_and_gate_passes_itself() {
-        let r = synthetic_serve_report();
-        let json = serde_json::to_string_pretty(&r).expect("serialize");
-        let back: ServeBenchReport = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.connections, 8);
-        assert_eq!(back.executed_jobs, 10);
-        assert_eq!(back.latency.count, 80);
-        assert_eq!(back.robustness.panics_caught, 0);
-        assert_eq!(back.client_retries, 0);
-        let verdict = check_serve_against(&back, &r, 2.0, 3.0);
-        assert!(verdict.is_ok(), "{verdict:?}");
+    fn gate_fails_on_every_broken_rule() {
+        type Break = fn(&mut BenchReport, &mut BenchReport);
+        let cases: [(&str, Break, &str); 12] = [
+            ("3x slowdown", |c, _| c.throughput /= 3.0, "regressed"),
+            (
+                "warm recompute",
+                |c, _| c.contracts.warm_recomputes = Some(1),
+                "recompiled",
+            ),
+            (
+                "disk speedup below the floor",
+                |c, _| c.contracts.disk_speedup = Some(1.1),
+                "buys too little",
+            ),
+            (
+                "double execution",
+                |c, _| c.contracts.executed_jobs = Some(11),
+                "exactly once",
+            ),
+            (
+                "nothing coalesced",
+                |c, _| c.contracts.coalesced_jobs = Some(0),
+                "nothing coalesced",
+            ),
+            (
+                "scaling below the floor",
+                |c, _| c.contracts.scaling = Some(2.4),
+                "below the floor",
+            ),
+            (
+                "zero baseline throughput",
+                |_, b| b.throughput = 0.0,
+                "finite and positive",
+            ),
+            (
+                "zero baseline calibration",
+                |_, b| b.calibration_ns_per_op = 0.0,
+                "finite and positive",
+            ),
+            (
+                "NaN current throughput",
+                |c, _| c.throughput = f64::NAN,
+                "finite and positive",
+            ),
+            (
+                "zero current throughput",
+                |c, _| c.throughput = 0.0,
+                "finite and positive",
+            ),
+            (
+                "workload mismatch",
+                |_, b| b.workload = "compile".to_string(),
+                "workload",
+            ),
+            ("size mismatch", |_, b| b.size = 5, "size"),
+        ];
+        let fine = check(&good(), &good());
+        assert!(fine.is_ok(), "{fine:?}");
+        for (name, break_it, needle) in cases {
+            let (mut current, mut baseline) = (good(), good());
+            break_it(&mut current, &mut baseline);
+            match check(&current, &baseline) {
+                Ok(v) => panic!("{name}: gate passed: {v}"),
+                Err(e) => assert!(e.contains(needle), "{name}: {e}"),
+            }
+        }
     }
 
     #[test]
-    fn serve_gate_fails_on_every_broken_contract() {
-        let good = synthetic_serve_report();
-        // Duplicate executed twice: exactly-once broken.
-        let mut double = good.clone();
-        double.executed_jobs = 11;
-        let err = check_serve_against(&double, &good, 2.0, 3.0).unwrap_err();
-        assert!(err.contains("exactly once"), "{err}");
-        // Nothing coalesced.
-        let mut cold = good.clone();
-        cold.coalesced_jobs = 0;
-        assert!(check_serve_against(&cold, &good, 2.0, 3.0)
-            .unwrap_err()
-            .contains("nothing coalesced"));
-        // Scaling below the ISSUE's 3x floor.
-        let mut flat = good.clone();
-        flat.scaling = 2.4;
-        assert!(check_serve_against(&flat, &good, 2.0, 3.0)
-            .unwrap_err()
-            .contains("below the floor"));
-        // A 3x normalized slowdown fails the 2x rule.
-        let mut slow = good.clone();
-        slow.multi_rps /= 3.0;
-        assert!(check_serve_against(&slow, &good, 2.0, 3.0).is_err());
+    fn committed_baselines_parse_and_pass_against_themselves() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for workload in Workload::ALL {
+            let path = root.join(format!("BENCH_{}.json", workload.name()));
+            let (named, report) = load_baseline(&path).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(named, workload, "{}", path.display());
+            let verdict = check(&report, &report);
+            assert!(verdict.is_ok(), "{}: {verdict:?}", path.display());
+            assert!(!render(&report).is_empty());
+        }
     }
 
     #[test]
-    fn latency_histogram_is_reachable_through_perf() {
-        // The satellite contract: one histogram type serves the
-        // `stats` verb, the load generator, and bench callers.
-        let h = LatencyHistogram::new();
-        h.record(std::time::Duration::from_millis(3));
-        h.record(std::time::Duration::from_millis(5));
-        let s = h.summary();
-        assert_eq!(s.count, 2);
-        assert!(s.p99_us >= s.p50_us);
+    fn smoke_rates_are_deterministic() {
+        let a = montecarlo_smoke(4_000, 1);
+        let b = montecarlo_smoke(4_000, 2);
+        assert_eq!(a.detail.len(), PrepStrategy::ALL.len() + 1);
+        for (x, y) in a.detail.iter().zip(&b.detail) {
+            for rate in ["error_rate", "discard_rate"] {
+                assert_eq!(x.values.get(rate), y.values.get(rate), "{}", x.label);
+            }
+        }
     }
 }

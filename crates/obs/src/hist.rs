@@ -13,10 +13,10 @@
 //! [`LatencyHistogram::record`] takes `&self`: one histogram is shared
 //! by every connection thread of a server (and merged across client
 //! threads of the load generator) without a lock. It lived in
-//! `qods_service::stats` before the observability layer existed; it
-//! moved here so the metrics registry, the `stats` verb, and the load
-//! generator all draw from one crate (qods-service re-exports it for
-//! compatibility).
+//! qods-service before the observability layer existed; it moved here
+//! so the metrics registry, the `stats` verb, and the load generator
+//! all draw from one crate (qods-service re-exports it as
+//! `qods_service::LatencyHistogram`).
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -19,7 +19,7 @@
 //! Concurrent submissions of the same job coalesce onto one
 //! execution ([`coalesce::InflightTable`], wired up as
 //! [`scheduler::Scheduler::run_coalesced`]), and
-//! [`stats::LatencyHistogram`] is the allocation-free latency
+//! [`LatencyHistogram`] (from `qods-obs`) is the allocation-free latency
 //! accounting servers and load generators share. The `qods-net`
 //! crate wraps this scheduler in the NDJSON wire protocol (stdio and
 //! multi-client TCP via its `qods-serve` binary), and `repro --load`
@@ -54,7 +54,6 @@ pub mod cache;
 pub mod coalesce;
 pub mod request;
 pub mod scheduler;
-pub mod stats;
 
 /// The workspace's shared worker pool, re-exported so service callers
 /// address one crate: `qods_service::pool` *is* `qods_pool` (the
@@ -63,15 +62,15 @@ pub use qods_pool as pool;
 
 pub use cache::{CacheStats, ContextPool, PoolEntry};
 pub use coalesce::InflightTable;
+pub use qods_obs::{LatencyHistogram, LatencySummary};
 pub use request::{canonical_config_json, config_hash, hash_hex, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
-pub use stats::{LatencyHistogram, LatencySummary};
 
 /// One-stop imports for service callers.
 pub mod prelude {
     pub use crate::cache::{CacheStats, ContextPool, PoolEntry};
     pub use crate::request::{config_hash, hash_hex, Overrides, RunRequest};
     pub use crate::scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
-    pub use crate::stats::{LatencyHistogram, LatencySummary};
     pub use qods_core::study::{ArchChoice, StudyConfig};
+    pub use qods_obs::{LatencyHistogram, LatencySummary};
 }

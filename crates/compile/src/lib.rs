@@ -48,7 +48,8 @@
 // The compile store sits on the serving path: no panicking unwraps —
 // proven invariants use `unwrap_or_else(|e| unreachable!(...))`,
 // locks use `unwrap_or_else(PoisonError::into_inner)`. Tests opt
-// back in locally with `#[allow]`. Lint rule R1 enforces the same.
+// back in locally with `#[allow]`; CI's clippy `-D warnings` makes
+// the warning an error.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod hash;

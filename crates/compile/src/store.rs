@@ -347,7 +347,7 @@ impl ArtifactStore {
                 return DiskRead::Corrupt;
             }
         };
-        match qods_fault::check(qods_fault::site::STORE_READ) {
+        match qods_fault::check(sites::STORE_READ) {
             Some(qods_fault::FaultAction::IoError) => {
                 self.corrupt_reads.inc();
                 return DiskRead::Corrupt;
@@ -383,7 +383,7 @@ impl ArtifactStore {
         };
         let _io = qods_obs::span!(sites::COMPILE_STORE, { detail: "write" });
         let encoded = ArtifactStore::encode_artifact(key, artifact);
-        match qods_fault::check(qods_fault::site::STORE_WRITE) {
+        match qods_fault::check(sites::STORE_WRITE) {
             Some(qods_fault::FaultAction::IoError) => {
                 self.write_errors.inc();
                 return;

@@ -4,11 +4,12 @@
 //! engines) claims to survive I/O failures, worker panics, slow
 //! clients, and expired deadlines. This crate is how those claims are
 //! *tested* rather than asserted: production code is instrumented
-//! with named **sites** (`store.read`, `store.write`, `pool.worker`,
-//! `net.conn`, `mc.chunk`), and a test arms a [`FaultPlan`] that
-//! fires a typed [`FaultAction`] on the N-th operation a site sees —
-//! optionally repeating, optionally scattered pseudo-randomly from a
-//! seed. Everything is counter-based, nothing is time-based, so a
+//! with named **checkpoints** (`store.read`, `store.write`,
+//! `pool.worker`, `net.conn`, `mc.chunk` — the
+//! `qods_obs::sites::CHECKPOINTS` subset of the one site table), and
+//! a test arms a [`FaultPlan`] that fires a typed [`FaultAction`] on
+//! the N-th operation a site sees — optionally repeating, optionally
+//! scattered pseudo-randomly from a seed. Everything is counter-based, nothing is time-based, so a
 //! chaos run is reproducible: the same plan against the same request
 //! sequence injects the same faults at the same operations.
 //!
@@ -33,6 +34,7 @@
 //! workers on op 2 and every 5th after; delay every MC chunk by
 //! 20 ms".
 
+use qods_obs::sites::CHECKPOINTS;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -40,41 +42,6 @@ use std::sync::Mutex;
 /// Environment variable a process reads its fault plan from (see
 /// [`arm_from_env`]). Unset or empty means "no faults".
 pub const FAULT_PLAN_ENV: &str = "QODS_FAULT_PLAN";
-
-/// The canonical instrumented-site names. Production code passes
-/// these constants to [`check`]/[`check_sleeping`] (never free-form
-/// strings), [`FaultPlan::parse`] rejects any site not listed here,
-/// and the `qods-lint` S1 rule cross-checks every site string literal
-/// in the workspace against [`SITES`] — so a typo-ed site becomes a
-/// parse error or a lint failure instead of a fault that silently
-/// never fires. Adding an instrumented site means adding it here.
-pub mod site {
-    /// Disk-tier artifact read in `qods-compile`'s `ArtifactStore`.
-    pub const STORE_READ: &str = "store.read";
-    /// Disk-tier artifact write in `qods-compile`'s `ArtifactStore`.
-    pub const STORE_WRITE: &str = "store.write";
-    /// One unit of work on a `qods-pool` worker thread.
-    pub const POOL_WORKER: &str = "pool.worker";
-    /// One request line handled on a `qods-net` connection.
-    pub const NET_CONN: &str = "net.conn";
-    /// One Monte-Carlo trial chunk in `qods-phys`.
-    pub const MC_CHUNK: &str = "mc.chunk";
-}
-
-/// Every canonical site, as data — the registry `qods-lint` and
-/// [`FaultPlan::parse`] validate against.
-pub const SITES: &[&str] = &[
-    site::STORE_READ,
-    site::STORE_WRITE,
-    site::POOL_WORKER,
-    site::NET_CONN,
-    site::MC_CHUNK,
-];
-
-/// Whether `name` is a canonical instrumented site.
-pub fn is_site(name: &str) -> bool {
-    SITES.contains(&name)
-}
 
 /// Why a fault-plan spec string failed to parse — typed so callers
 /// can distinguish a typo-ed site (spec names a site that does not
@@ -111,9 +78,9 @@ pub enum PlanError {
         /// The action parser's diagnostic.
         message: String,
     },
-    /// An entry names a site that is not in [`SITES`] — the fault
-    /// would arm but never fire, which is exactly the silent drift
-    /// this error exists to catch.
+    /// An entry names a site that is not in [`CHECKPOINTS`] — the
+    /// fault would arm but never fire, which is exactly the silent
+    /// drift this error exists to catch.
     UnknownSite {
         /// The unrecognized site name.
         site: String,
@@ -144,7 +111,7 @@ impl std::fmt::Display for PlanError {
             PlanError::UnknownSite { site, entry } => write!(
                 f,
                 "unknown fault site `{site}` in `{entry}` (canonical sites: {})",
-                SITES.join(", ")
+                CHECKPOINTS.join(", ")
             ),
         }
     }
@@ -341,7 +308,7 @@ impl FaultPlan {
     /// Parses a plan from its compact spec string:
     /// `site:nth[+every]=action[:ms]` entries joined by `;`.
     ///
-    /// Sites are validated against the canonical [`SITES`] registry:
+    /// Sites are validated against the canonical [`CHECKPOINTS`]:
     /// this is the untrusted boundary (the [`FAULT_PLAN_ENV`] env
     /// var), and a typo-ed site must be a loud startup failure, not a
     /// fault that silently never fires. (The in-process builder API —
@@ -371,7 +338,7 @@ impl FaultPlan {
                     entry: entry.to_string(),
                 });
             }
-            if !is_site(site) {
+            if !CHECKPOINTS.contains(&site) {
                 return Err(PlanError::UnknownSite {
                     site: site.to_string(),
                     entry: entry.to_string(),
@@ -466,9 +433,10 @@ pub fn arm_from_env() -> Result<bool, PlanError> {
     }
 }
 
-/// The instrumented-site hook: counts one operation at `site` and
-/// returns the action to inject, if the armed plan says this
-/// operation faults. `None` (after one atomic load) when disarmed.
+/// The checkpoint hook: counts one operation at `site` (one of
+/// [`CHECKPOINTS`]) and returns the action to inject, if the armed
+/// plan says this operation faults. `None` (after one atomic load)
+/// when disarmed.
 pub fn check(site: &str) -> Option<FaultAction> {
     if !IS_ARMED.load(Ordering::Relaxed) {
         return None;
@@ -656,13 +624,16 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("canonical sites"));
-        // Every canonical site parses.
-        for site in SITES {
-            assert!(is_site(site));
+        // Every checkpoint parses; an instrumented site that is not a
+        // checkpoint would never fire, so it is rejected too.
+        for site in CHECKPOINTS {
             let plan = FaultPlan::parse(&format!("{site}:1=io")).expect("canonical site parses");
             assert_eq!(plan.len(), 1);
         }
-        assert!(!is_site("store.wrte"));
+        assert!(matches!(
+            FaultPlan::parse("net.read:1=io"),
+            Err(PlanError::UnknownSite { .. })
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! DESIGN.md; this crate makes them machine-checkable. A hand-rolled
 //! lexer ([`scan`]) splits each source file into masked-code /
 //! string-literal views, a line-level rule engine ([`rules`]) raises
-//! findings for rules **D1/D2/R1/S1**, and a second, workspace-wide
+//! findings for rules **D1/D2/S1/O1**, and a second, workspace-wide
 //! pass builds a symbol index and conservative call graph ([`graph`])
 //! to run the flow rules **P1** (panic reachability from serving
 //! entries), **L1** (lock-order cycles and locks held across
@@ -19,8 +19,8 @@
 //! down without blocking CI.
 //!
 //! Zero external dependencies beyond the workspace's own shims — the
-//! tables rules S1 and H1 validate against are imported straight from
-//! `qods-fault`, `qods-net`, and `qods-service`, so the checker can
+//! tables rules S1, O1 and H1 validate against are imported straight
+//! from `qods-net`, `qods-obs`, and `qods-service`, so the checker can
 //! never drift from the code it polices.
 //!
 //! Entry points: `cargo run -p qods-lint` or `repro --lint`.
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 /// One lint finding, as emitted on the NDJSON stream.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `R1`, `S1`, `P1`, `L1`, `A1`,
+    /// Rule identifier (`D1`, `D2`, `S1`, `O1`, `P1`, `L1`, `A1`,
     /// `H1`, or `L0` for a malformed annotation).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
@@ -54,10 +54,11 @@ pub struct Finding {
 
 /// The canonical string tables rules S1, O1, and H1 validate against.
 pub struct Tables {
-    /// Fault-site names (from `qods_fault::SITES`).
+    /// Every site name (from `qods_obs::sites::ALL`).
     pub sites: Vec<String>,
-    /// Instrumentation-site names (from `qods_obs::sites::ALL`).
-    pub obs_sites: Vec<String>,
+    /// The fault-injection subset of `sites` (from
+    /// `qods_obs::sites::CHECKPOINTS`).
+    pub checkpoints: Vec<String>,
     /// Wire error-kind tags (from `qods_net::protocol::kind::ALL`).
     pub kinds: Vec<String>,
     /// Override field names the canonical config form must encode
@@ -74,8 +75,8 @@ impl Tables {
     pub fn workspace() -> Self {
         let own = |xs: &[&str]| xs.iter().map(|s| (*s).to_owned()).collect();
         Tables {
-            sites: own(qods_fault::SITES),
-            obs_sites: own(qods_obs::sites::ALL),
+            sites: own(qods_obs::sites::ALL),
+            checkpoints: own(qods_obs::sites::CHECKPOINTS),
             kinds: own(qods_net::protocol::kind::ALL),
             override_fields: own(&qods_service::request::OVERRIDE_FIELDS),
             policy_fields: own(qods_service::request::POLICY_FIELDS),

@@ -7,17 +7,21 @@
 //! * **D2** — no `HashMap`/`HashSet` iteration feeding serialization
 //!   or hashing (iteration order is nondeterministic; use `BTreeMap`
 //!   or sort first).
-//! * **R1** — no `unwrap`/`expect` on the serving path (service,
-//!   net, compile, pool); a panic there kills a connection or poisons
-//!   a lock instead of returning a typed error.
-//! * **S1** — every fault-site string and wire error-`kind` literal
-//!   must exist in the canonical tables exported by `qods-fault` and
-//!   `qods-net`, so string drift is a lint failure, not a silent
-//!   no-op.
-//! * **O1** — every site-name string literal at an instrumentation
-//!   call site (`.counter(` / `.gauge(` / `.histogram(` / `span!(` /
-//!   `instant(`) must exist in `qods_obs::sites::ALL`; a typo'd site
-//!   would otherwise mint a metric nothing reads.
+//! * **S1** — every wire error-`kind` literal must exist in the
+//!   protocol table exported by `qods-net`, so string drift is a lint
+//!   failure, not a silent no-op.
+//! * **O1** — every site-name string literal must exist in the one
+//!   site table, `qods_obs::sites::ALL`: at instrumentation calls
+//!   (`.counter(` / `.gauge(` / `.histogram(` / `span!(` /
+//!   `instant(`), and — restricted to `qods_obs::sites::CHECKPOINTS` —
+//!   at fault calls (`fault_fired(`, `fault::check(` and friends,
+//!   plan builders) and in fault-plan strings. A typo'd site would
+//!   otherwise mint a metric nothing reads or arm a fault that never
+//!   fires.
+//!
+//! (No `unwrap`/`expect` on the serving path is enforced by
+//! `#![warn(clippy::unwrap_used, clippy::expect_used)]` in the
+//! serving crates under CI's `-D warnings`, not here.)
 //!
 //! All checks run on the masked `code` view (comments and string
 //! interiors blanked), except the S1/O1 literal validation which uses
@@ -29,7 +33,7 @@ use crate::{Finding, Tables};
 /// The rule identifiers an `allow(...)` annotation may name. The
 /// first four are line rules (this module); the last four are graph
 /// rules ([`crate::graph_rules`]).
-pub const RULE_IDS: &[&str] = &["D1", "D2", "R1", "S1", "O1", "P1", "L1", "A1", "H1"];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "O1", "P1", "L1", "A1", "H1"];
 
 /// Crates whose results feed hashed/serialized output; D1 applies.
 /// `qods-bench` is the designated home for timing, and `qods-obs` is
@@ -39,16 +43,12 @@ fn d1_applies(crate_name: &str) -> bool {
     !matches!(crate_name, "qods-bench" | "qods-lint" | "qods-obs")
 }
 
-/// The serving-path crates rule R1 (and the chaos clippy gate) cover.
-pub const R1_CRATES: &[&str] = &["qods-service", "qods-net", "qods-compile", "qods-pool"];
-
 /// Runs every rule over one file, returning raw findings
 /// (suppression is applied by the engine, not here).
 pub fn run_rules(file: &ScannedFile, tables: &Tables) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_d1(file, &mut out);
     rule_d2(file, &mut out);
-    rule_r1(file, &mut out);
     rule_s1(file, tables, &mut out);
     rule_o1(file, tables, &mut out);
     out
@@ -355,124 +355,13 @@ fn receiver_ident(file: &ScannedFile, line_idx: usize, dot_pos: usize) -> Option
     None
 }
 
-/// R1: `.unwrap(` / `.expect(` in shipping code of serving-path
-/// crates. Near a `.lock()` the note points at the poison-tolerant
-/// idiom the workspace uses instead.
-fn rule_r1(file: &ScannedFile, out: &mut Vec<Finding>) {
-    if file.tree != Tree::Src || !R1_CRATES.contains(&file.crate_name.as_str()) {
-        return;
-    }
-    for (idx, code) in file.code.iter().enumerate() {
-        if file.in_test[idx] {
-            continue;
-        }
-        for m in ["unwrap", "expect"] {
-            let needle = format!(".{m}");
-            for pos in token_positions(code, &needle) {
-                if code.as_bytes().get(pos + needle.len()) != Some(&b'(') {
-                    continue;
-                }
-                let lo = idx.saturating_sub(2);
-                let near_lock = file.code[lo..=idx].iter().any(|l| l.contains(".lock()"));
-                let note = if near_lock {
-                    format!(
-                        "`.{m}(` on a lock in the serving path; use \
-                         `.unwrap_or_else(std::sync::PoisonError::into_inner)` — a panicked \
-                         writer must not take the server down with it"
-                    )
-                } else {
-                    format!(
-                        "`.{m}(` in the serving path; return a typed error (or prove the \
-                         invariant with `unwrap_or_else(|e| unreachable!(...))`) instead of \
-                         panicking on a connection thread"
-                    )
-                };
-                out.push(finding(file, "R1", idx, note));
-            }
-        }
-    }
-}
-
-/// S1: fault-site strings at injection/plan call sites must be in
-/// [`qods_fault::SITES`]; `"kind":"..."` fragments must be in the
+/// S1: `"kind":"..."` fragments in any string literal must be in the
 /// wire-protocol table.
 fn rule_s1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
-    if matches!(file.crate_name.as_str(), "qods-lint" | "qods-fault") {
+    if file.crate_name == "qods-lint" {
         return;
     }
-    let mentions_fault = file.raw.iter().any(|l| {
-        l.contains("qods_fault") || l.contains("FaultPlan") || l.contains("QODS_FAULT_PLAN")
-    });
-
-    let check_site_literal = |line_idx: usize, open_paren: usize, out: &mut Vec<Finding>| {
-        if let Some(lit) = first_arg_literal(file, line_idx, open_paren) {
-            if !tables.sites.iter().any(|s| s == &lit.value) {
-                out.push(finding(
-                    file,
-                    "S1",
-                    lit.line - 1,
-                    format!(
-                        "unknown fault site `{}`; canonical sites: {}",
-                        lit.value,
-                        tables.sites.join(", ")
-                    ),
-                ));
-            }
-        }
-    };
-
-    for (idx, code) in file.code.iter().enumerate() {
-        // fault::check("...")-style injection points.
-        for m in ["check", "check_sleeping", "fired_at", "ops_at"] {
-            for pos in token_positions(code, m) {
-                let after = pos + m.len();
-                if code.as_bytes().get(after) != Some(&b'(') {
-                    continue;
-                }
-                // Require a `fault::`/`qods_fault::` path prefix so
-                // unrelated `check(` calls are not dragged in.
-                let head = &code[..pos];
-                if !(head.ends_with("fault::") || head.ends_with("qods_fault::")) {
-                    continue;
-                }
-                check_site_literal(idx, after, out);
-            }
-        }
-        // Plan-builder calls (`.once("...")` etc.) in fault-aware files.
-        if mentions_fault {
-            for m in ["once", "repeating", "scatter"] {
-                let needle = format!(".{m}");
-                for pos in token_positions(code, &needle) {
-                    let after = pos + needle.len();
-                    if code.as_bytes().get(after) != Some(&b'(') {
-                        continue;
-                    }
-                    check_site_literal(idx, after, out);
-                }
-            }
-        }
-    }
-
     for lit in &file.strings {
-        // Plan grammar literals: `site:nth[+every]=action[:ms]`.
-        if mentions_fault {
-            for entry in lit.value.split(';') {
-                if let Some(site) = plan_entry_site(entry) {
-                    if !tables.sites.iter().any(|s| s == site) {
-                        out.push(finding(
-                            file,
-                            "S1",
-                            lit.line - 1,
-                            format!(
-                                "fault plan names unknown site `{site}`; canonical sites: {}",
-                                tables.sites.join(", ")
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        // Wire error kinds: any `"kind":"x"` fragment in any literal.
         let mut rest = lit.value.as_str();
         while let Some(p) = rest.find("\"kind\":\"") {
             let tail = &rest[p + "\"kind\":\"".len()..];
@@ -497,57 +386,86 @@ fn rule_s1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
     }
 }
 
-/// O1: site-name string literals at instrumentation call sites must
-/// exist in [`qods_obs::sites::ALL`]. Call sites normally pass the
+/// O1: site-name string literals must exist in the one site table,
+/// [`qods_obs::sites::ALL`], and where a fault checkpoint is meant
+/// (fault calls, plan builders, plan-grammar strings) in
+/// [`qods_obs::sites::CHECKPOINTS`]. Call sites normally pass the
 /// `sites::` constants, but nothing stops a raw literal — and a
-/// typo'd one would silently mint a metric no dashboard, test, or
-/// snapshot consumer ever reads. `qods-obs` itself is exempt (it owns
-/// the table, and its tests mint scratch names on purpose).
+/// typo'd one would silently mint a metric nothing reads, or arm a
+/// fault that never fires. `qods-obs` (it owns the table) and
+/// `qods-fault` (it owns the checkpoint API) are exempt: their tests
+/// mint scratch names on purpose.
 fn rule_o1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
-    if matches!(file.crate_name.as_str(), "qods-lint" | "qods-obs") {
+    if matches!(
+        file.crate_name.as_str(),
+        "qods-lint" | "qods-obs" | "qods-fault"
+    ) {
         return;
     }
-    // Registry handle lookups are method calls; the span macro and
-    // the instant/fault-fired entry points are path calls. Either
-    // way the site is the first argument.
-    const METHOD_SITES: &[&str] = &["counter", "gauge", "histogram", "counter_value"];
-    const FREE_SITES: &[&str] = &["span!", "instant", "fault_fired"];
+    let mentions_fault = file.raw.iter().any(|l| {
+        l.contains("qods_fault") || l.contains("FaultPlan") || l.contains("QODS_FAULT_PLAN")
+    });
+    let check = |lit: &StrLit, site: &str, fault: bool, out: &mut Vec<Finding>| {
+        let (table, name, what) = if fault {
+            (&tables.checkpoints, "qods_obs::sites::CHECKPOINTS", "fault")
+        } else {
+            (&tables.sites, "qods_obs::sites::ALL", "instrumentation")
+        };
+        if !table.iter().any(|s| s == site) {
+            out.push(finding(
+                file,
+                "O1",
+                lit.line - 1,
+                format!(
+                    "unknown {what} site `{site}`; canonical sites live in {name} — use \
+                     the named constant (a typo here mints a metric nothing reads or a \
+                     fault that never fires)"
+                ),
+            ));
+        }
+    };
+
+    // (call, the text right before it, fault call?) — the site is the
+    // first argument of each. The anchor keeps unrelated helpers named
+    // `instant` or `check` out; the plan builders (`once`, `repeating`,
+    // `scatter`) only count in files that use the fault API.
+    const CALLS: &[(&str, &str, bool)] = &[
+        ("counter", ".", false),
+        ("gauge", ".", false),
+        ("histogram", ".", false),
+        ("span!", "::", false),
+        ("instant", "::", false),
+        ("fault_fired", "::", true),
+        ("check", "fault::", true),
+        ("check_sleeping", "fault::", true),
+        ("fired_at", "fault::", true),
+        ("ops_at", "fault::", true),
+        ("once", ".", true),
+        ("repeating", ".", true),
+        ("scatter", ".", true),
+    ];
     for (idx, code) in file.code.iter().enumerate() {
-        let cb = code.as_bytes();
-        let mut call_sites: Vec<usize> = Vec::new();
-        for m in METHOD_SITES {
+        for &(m, anchor, fault) in CALLS {
+            if !mentions_fault && matches!(m, "once" | "repeating" | "scatter") {
+                continue;
+            }
             for pos in token_positions(code, m) {
                 let after = pos + m.len();
-                if cb.get(after) == Some(&b'(') && pos > 0 && cb[pos - 1] == b'.' {
-                    call_sites.push(after);
+                if !code[after..].starts_with('(') || !code[..pos].ends_with(anchor) {
+                    continue;
+                }
+                if let Some(lit) = first_arg_literal(file, idx, after) {
+                    check(lit, &lit.value, fault, out);
                 }
             }
         }
-        for m in FREE_SITES {
-            for pos in token_positions(code, m) {
-                let after = pos + m.len();
-                // Require a path prefix (`qods_obs::span!(`,
-                // `trace::instant(`) so unrelated helpers named
-                // `instant` elsewhere are not dragged in.
-                if cb.get(after) == Some(&b'(') && code[..pos].ends_with("::") {
-                    call_sites.push(after);
-                }
-            }
-        }
-        for open_paren in call_sites {
-            if let Some(lit) = first_arg_literal(file, idx, open_paren) {
-                if !tables.obs_sites.iter().any(|s| s == &lit.value) {
-                    out.push(finding(
-                        file,
-                        "O1",
-                        lit.line - 1,
-                        format!(
-                            "unknown instrumentation site `{}`; canonical sites live in \
-                             qods_obs::sites::ALL — use the named constant (a typo here mints \
-                             a metric nothing reads)",
-                            lit.value
-                        ),
-                    ));
+    }
+    // Plan grammar literals: `site:nth[+every]=action[:ms]`.
+    if mentions_fault {
+        for lit in &file.strings {
+            for entry in lit.value.split(';') {
+                if let Some(site) = plan_entry_site(entry) {
+                    check(lit, site, true, out);
                 }
             }
         }

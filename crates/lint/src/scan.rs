@@ -432,7 +432,7 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     in_test
 }
 
-/// Parses `// qods-lint: allow(R1, D2) -- reason` annotations out of
+/// Parses `// qods-lint: allow(P1, D2) -- reason` annotations out of
 /// the line comments. Anything mentioning `qods-lint:` that does not
 /// match the grammar becomes a [`BadAllow`].
 fn parse_allows(

@@ -21,3 +21,9 @@ pub fn retired(metrics: &qods_obs::Registry) {
     // qods-lint: allow(O1) -- fixture: documenting a retired metric name
     let _ = metrics.counter("old.metric");
 }
+
+pub fn fault_sites() {
+    qods_obs::trace::fault_fired("store.read"); // checkpoint — fine
+    qods_obs::trace::fault_fired("store.raed"); // finding: typo-ed checkpoint
+    qods_fault::check("net.read"); // finding: an obs site, not a checkpoint
+}

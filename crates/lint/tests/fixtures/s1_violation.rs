@@ -1,4 +1,4 @@
-//! S1 fixture: fault-site and wire-kind string drift.
+//! S1/O1 fixture: wire-kind (S1) and fault-site (O1) string drift.
 
 pub fn misfire() {
     qods_fault::check("store.raed"); // finding: typo-ed site
@@ -18,5 +18,5 @@ pub fn valid_kind() -> &'static str {
     "{\"kind\":\"overloaded\"}" // canonical — fine
 }
 
-// qods-lint: allow(S1) -- fixture: documenting a retired site name
+// qods-lint: allow(O1) -- fixture: documenting a retired site name
 pub const RETIRED_PLAN: &str = "old.site:1=io";

@@ -54,45 +54,25 @@ fn d2_fires_on_unordered_iteration_into_sinks_and_respects_sort_and_allow() {
 }
 
 #[test]
-fn r1_fires_on_serving_path_unwraps_with_the_poison_hint_and_respects_allow() {
-    let text = include_str!("fixtures/r1_violation.rs");
-    let out = lint_source("fix/r1.rs", "qods-net", Tree::Src, text, &tables());
-    assert_eq!(rule_lines(&out.findings), pairs(&[("R1", 5), ("R1", 6)]));
-    assert!(
-        out.findings[0].note.contains("PoisonError::into_inner"),
-        "lock sites point at the poison-tolerant idiom: {}",
-        out.findings[0].note
-    );
-    assert_eq!(rule_lines(&out.suppressed), pairs(&[("R1", 8)]));
-}
-
-#[test]
-fn r1_does_not_apply_off_the_serving_path() {
-    let text = include_str!("fixtures/r1_violation.rs");
-    let out = lint_source("fix/r1.rs", "qods-phys", Tree::Src, text, &tables());
-    assert!(rule_lines(&out.findings).iter().all(|(r, _)| r != "R1"));
-}
-
-#[test]
-fn s1_fails_typoed_fault_sites_and_drifted_error_kinds() {
+fn s1_fails_drifted_error_kinds_and_o1_typoed_fault_sites() {
     let text = include_str!("fixtures/s1_violation.rs");
     let out = lint_source("fix/s1.rs", "qods-service", Tree::Src, text, &tables());
     assert_eq!(
         rule_lines(&out.findings),
-        pairs(&[("S1", 4), ("S1", 10), ("S1", 14)]),
+        pairs(&[("O1", 4), ("O1", 10), ("S1", 14)]),
         "call-site typo, plan-string typo, kind drift"
     );
     assert!(out.findings[0].note.contains("store.raed"));
     assert!(out.findings[1].note.contains("store.wrte"));
     assert!(out.findings[2].note.contains("overlaoded"));
-    assert_eq!(rule_lines(&out.suppressed), pairs(&[("S1", 22)]));
+    assert_eq!(rule_lines(&out.suppressed), pairs(&[("O1", 22)]));
 }
 
 #[test]
-fn s1_checks_apply_in_test_trees_too() {
+fn fault_site_checks_apply_in_test_trees_too() {
     let text = "fn t() { qods_fault::check(\"store.raed\"); }\n";
     let out = lint_source("fix/t.rs", "qods-net", Tree::Tests, text, &tables());
-    assert_eq!(rule_lines(&out.findings), pairs(&[("S1", 1)]));
+    assert_eq!(rule_lines(&out.findings), pairs(&[("O1", 1)]));
 }
 
 #[test]
@@ -101,12 +81,17 @@ fn o1_fails_typoed_instrumentation_sites_and_respects_allow() {
     let out = lint_source("fix/o1.rs", "qods-net", Tree::Src, text, &tables());
     assert_eq!(
         rule_lines(&out.findings),
-        pairs(&[("O1", 4), ("O1", 7), ("O1", 12)]),
-        "counter typo, histogram typo, span! typo; constants, canonical \
-         literals, and bare `instant(` calls stay clean"
+        pairs(&[("O1", 4), ("O1", 7), ("O1", 12), ("O1", 27), ("O1", 28)]),
+        "counter typo, histogram typo, span! typo, fault_fired typo, and a \
+         non-checkpoint fault check; constants, canonical literals, \
+         checkpoints, and bare `instant(` calls stay clean"
     );
     assert!(out.findings[0].note.contains("net.requsts"));
     assert!(out.findings[2].note.contains("svc.schedle"));
+    assert!(out.findings[3].note.contains("store.raed"));
+    assert!(
+        out.findings[4].note.contains("`net.read`") && out.findings[4].note.contains("CHECKPOINTS")
+    );
     assert_eq!(rule_lines(&out.suppressed), pairs(&[("O1", 22)]));
 }
 
@@ -229,9 +214,9 @@ fn the_dot_export_renders_both_graphs() {
 #[test]
 fn malformed_and_unknown_rule_annotations_are_l0_findings() {
     let text = concat!(
-        "// qods-lint: allow(R1)\n",                    // missing reason
+        "// qods-lint: allow(D2)\n",                    // missing reason
         "// qods-lint: allow(Q9) -- no such rule\n",    // unknown rule
-        "// qods-lint: allow(R1) -- fine but unused\n", // matches nothing
+        "// qods-lint: allow(D2) -- fine but unused\n", // matches nothing
         "fn quiet() {}\n",
     );
     let out = lint_source("fix/l0.rs", "qods-core", Tree::Src, text, &tables());
@@ -281,16 +266,13 @@ fn the_workspace_is_clean_against_the_committed_baseline() {
 }
 
 #[test]
-fn the_s1_tables_match_the_crates_that_own_them() {
+fn the_site_and_kind_tables_match_the_crates_that_own_them() {
     let t = tables();
-    let sites: Vec<String> = qods_fault::SITES.iter().map(|s| (*s).to_owned()).collect();
-    let kinds: Vec<String> = qods_net::protocol::kind::ALL
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-    assert_eq!(t.sites, sites);
-    assert_eq!(t.kinds, kinds);
-    assert!(t.sites.contains(&"store.read".to_owned()));
+    let own = |xs: &[&str]| -> Vec<String> { xs.iter().map(|s| (*s).to_owned()).collect() };
+    assert_eq!(t.sites, own(qods_obs::sites::ALL));
+    assert_eq!(t.checkpoints, own(qods_obs::sites::CHECKPOINTS));
+    assert_eq!(t.kinds, own(qods_net::protocol::kind::ALL));
+    assert!(t.checkpoints.contains(&"store.read".to_owned()));
     assert!(t.kinds.contains(&"overloaded".to_owned()));
 }
 

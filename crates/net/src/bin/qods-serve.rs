@@ -41,6 +41,10 @@
 //! events dropped past capacity and counted) and never changes served
 //! bytes: result lines are byte-identical with tracing on or off.
 
+// The binary is a separate crate root, so the library's ban on
+// `unwrap`/`expect` does not reach it; it carries its own.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use qods_net::server::{serve_stdio, NetServer, ServeCore, ServeOptions};
 use qods_service::prelude::*;
 use std::process::ExitCode;

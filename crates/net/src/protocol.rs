@@ -15,7 +15,7 @@
 //! daemon; changing their field set or order changes served bytes and
 //! fails those tests.
 
-use qods_obs::{MetricsSnapshot, RobustnessSnapshot};
+use qods_obs::{sites, MetricsSnapshot, RobustnessSnapshot};
 use qods_service::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
@@ -258,7 +258,9 @@ pub fn parse_line(line: &str) -> Result<Request, String> {
     }
 }
 
-/// The one `stats` line the `stats` verb answers with.
+/// The one `stats` line the `stats` verb answers with: a fixed
+/// projection of the `metrics` verb's snapshot
+/// ([`StatsLine::from_snapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StatsLine {
     /// Always `"stats"`.
@@ -298,6 +300,34 @@ pub struct StatsLine {
     pub robustness: RobustnessSnapshot,
     /// Request latency summary (admission wait included).
     pub latency: LatencySummary,
+}
+
+impl StatsLine {
+    /// Projects the serving stack's registry snapshot onto the
+    /// `stats` wire shape: every field is one site's value (gauges
+    /// clamped at 0), so `stats` and `metrics` can never disagree.
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
+        let level = |site| snap.gauge(site).max(0) as u64;
+        StatsLine {
+            event: "stats".to_string(),
+            connections: level(sites::NET_CONNECTIONS),
+            connections_total: snap.counter(sites::NET_CONNECTIONS_TOTAL),
+            requests: snap.counter(sites::NET_REQUESTS),
+            results: snap.counter(sites::NET_RESULTS),
+            errors: snap.counter(sites::NET_ERRORS),
+            overloaded: snap.counter(sites::NET_OVERLOADED),
+            executed: snap.counter(sites::SVC_EXECUTED),
+            coalesced: snap.counter(sites::SVC_COALESCED),
+            in_flight: level(sites::GATE_ACTIVE),
+            queue_depth: level(sites::GATE_WAITING),
+            context_hits: snap.counter(sites::CACHE_CONTEXT_HITS),
+            context_misses: snap.counter(sites::CACHE_CONTEXT_MISSES),
+            output_hits: snap.counter(sites::CACHE_OUTPUT_HITS),
+            output_misses: snap.counter(sites::CACHE_OUTPUT_MISSES),
+            robustness: RobustnessSnapshot::from_snapshot(snap),
+            latency: snap.histogram(sites::NET_LATENCY),
+        }
+    }
 }
 
 /// The one `metrics` line the `metrics` verb answers with: the full

@@ -19,7 +19,7 @@ use crate::protocol::{
     parse_line, progress_line, render, result_line, ErrorKind, ErrorLine, MetricsLine, Request,
     StatsLine, Verb,
 };
-use qods_obs::{sites, Counter, Gauge, MetricsSnapshot, Registry, RobustnessSnapshot};
+use qods_obs::{sites, Counter, Gauge, MetricsSnapshot, Registry};
 use qods_pool::plock;
 use qods_service::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -464,32 +464,10 @@ impl ServeCore {
         self.connections.get().max(0) as u64
     }
 
-    /// The `stats` verb's answer, assembled from the scheduler, the
-    /// cache, the gate, and this core's counters. Allocation cost is
-    /// one `StatsLine`; recording latency on the hot path is
-    /// allocation-free ([`LatencyHistogram`]).
+    /// The `stats` verb's answer: a fixed projection of
+    /// [`ServeCore::metrics_snapshot`].
     pub fn stats_line(&self) -> StatsLine {
-        let sched = self.scheduler.stats();
-        let cache = self.scheduler.pool().stats();
-        StatsLine {
-            event: "stats".to_string(),
-            connections: self.connection_count(),
-            connections_total: self.connections_total.get(),
-            requests: self.requests.get(),
-            results: self.results.get(),
-            errors: self.errors.get(),
-            overloaded: self.overloaded.get(),
-            executed: sched.jobs_led,
-            coalesced: sched.jobs_coalesced,
-            in_flight: self.gate.active() as u64,
-            queue_depth: self.gate.waiting() as u64,
-            context_hits: cache.context_hits,
-            context_misses: cache.context_misses,
-            output_hits: cache.output_hits,
-            output_misses: cache.output_misses,
-            robustness: RobustnessSnapshot::from_registry(&self.metrics),
-            latency: self.latency.summary(),
-        }
+        StatsLine::from_snapshot(&self.metrics_snapshot())
     }
 
     /// The `metrics` verb's answer: the serving stack's registry
@@ -745,7 +723,7 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool, loca
         match next {
             ReadLine::Line(line) => {
                 if let Some(qods_fault::FaultAction::Disconnect) =
-                    qods_fault::check_sleeping(qods_fault::site::NET_CONN)
+                    qods_fault::check_sleeping(sites::NET_CONN)
                 {
                     // Injected mid-request connection drop: the peer
                     // sees a reset, the server must shrug.
@@ -983,5 +961,34 @@ mod tests {
         assert!(stats.latency.p50_us > 0.0);
         // The repeat was served from cache.
         assert_eq!(stats.output_hits, 1);
+
+        // Every field is the metrics-snapshot value it projects.
+        let snap = core.metrics_snapshot();
+        let c = |site: &str| snap.counters.get(site).copied().unwrap_or(0);
+        let g = |site: &str| snap.gauges.get(site).copied().unwrap_or(0) as u64;
+        assert_eq!(stats.event, "stats");
+        assert_eq!(stats.connections, g(sites::NET_CONNECTIONS));
+        assert_eq!(stats.connections_total, c(sites::NET_CONNECTIONS_TOTAL));
+        assert_eq!(stats.requests, c(sites::NET_REQUESTS));
+        assert_eq!(stats.results, c(sites::NET_RESULTS));
+        assert_eq!(stats.errors, c(sites::NET_ERRORS));
+        assert_eq!(stats.overloaded, c(sites::NET_OVERLOADED));
+        assert_eq!(stats.executed, c(sites::SVC_EXECUTED));
+        assert_eq!(stats.coalesced, c(sites::SVC_COALESCED));
+        assert_eq!(stats.in_flight, g(sites::GATE_ACTIVE));
+        assert_eq!(stats.queue_depth, g(sites::GATE_WAITING));
+        assert_eq!(stats.context_hits, c(sites::CACHE_CONTEXT_HITS));
+        assert_eq!(stats.context_misses, c(sites::CACHE_CONTEXT_MISSES));
+        assert_eq!(stats.output_hits, c(sites::CACHE_OUTPUT_HITS));
+        assert_eq!(stats.output_misses, c(sites::CACHE_OUTPUT_MISSES));
+        let r = &stats.robustness;
+        assert_eq!(r.panics_caught, c(sites::SVC_PANICS_CAUGHT));
+        assert_eq!(r.deadline_exceeded, c(sites::SVC_DEADLINE_EXCEEDED));
+        assert_eq!(r.lines_rejected, c(sites::NET_LINES_REJECTED));
+        assert_eq!(r.idle_reaped, c(sites::NET_IDLE_REAPED));
+        assert_eq!(stats.latency, snap.latency[sites::NET_LATENCY]);
+        // The counters above are live, not defaulted.
+        assert_eq!(c(sites::NET_REQUESTS), 3);
+        assert_eq!(c(sites::CACHE_OUTPUT_HITS), 1);
     }
 }

@@ -1,5 +1,4 @@
-//! Exporters for drained trace buffers: newline-delimited JSON (one
-//! event per line, the grep-friendly form) and the Chrome trace-event
+//! Exporters for drained trace buffers: the Chrome trace-event
 //! format (`chrome://tracing` / Perfetto-loadable), plus the per-stage
 //! aggregation `repro --load` prints as a time breakdown.
 //!
@@ -27,17 +26,12 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
+/// The event's span link plus its set args (absent ones are omitted).
 fn args_value(ev: &SpanEvent) -> Value {
     let mut fields = vec![
         ("span", Value::UInt(ev.span_id)),
         ("parent", Value::UInt(ev.parent_id)),
     ];
-    push_args(&mut fields, ev);
-    obj(fields)
-}
-
-/// Appends the event's set args (absent ones are omitted).
-fn push_args(fields: &mut Vec<(&str, Value)>, ev: &SpanEvent) {
     if let Some(cache) = ev.args.cache {
         fields.push(("cache", Value::Str(cache.to_owned())));
     }
@@ -56,6 +50,7 @@ fn push_args(fields: &mut Vec<(&str, Value)>, ev: &SpanEvent) {
     if let Some(worker) = ev.args.worker {
         fields.push(("worker", Value::UInt(u64::from(worker))));
     }
+    obj(fields)
 }
 
 /// A human-readable name for `lane` (the Chrome thread name).
@@ -64,42 +59,6 @@ pub fn lane_name(lane: u32) -> String {
         0 => "main".to_owned(),
         n => format!("thread-{n}"),
     }
-}
-
-/// Renders events as newline-delimited JSON, one object per event:
-/// `{"site":…,"span":…,"parent":…,"lane":…,"start_ns":…,"dur_ns":…,
-/// "phase":"span"|"instant", …args}`.
-pub fn to_ndjson(events: &[SpanEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        let mut fields = vec![
-            ("site", Value::Str(ev.site.to_owned())),
-            ("span", Value::UInt(ev.span_id)),
-            ("parent", Value::UInt(ev.parent_id)),
-            ("lane", Value::UInt(u64::from(ev.lane))),
-            ("start_ns", Value::UInt(ev.start_ns)),
-            ("dur_ns", Value::UInt(ev.dur_ns)),
-            (
-                "phase",
-                Value::Str(
-                    match ev.phase {
-                        Phase::Span => "span",
-                        Phase::Instant => "instant",
-                    }
-                    .to_owned(),
-                ),
-            ),
-        ];
-        push_args(&mut fields, ev);
-        match serde_json::to_string(&obj(fields)) {
-            Ok(line) => {
-                out.push_str(&line);
-                out.push('\n');
-            }
-            Err(_) => unreachable!("Value serialization is infallible"),
-        }
-    }
-    out
 }
 
 /// Renders events as a Chrome trace-event document:
@@ -320,22 +279,6 @@ mod tests {
                 },
             },
         ]
-    }
-
-    #[test]
-    fn ndjson_is_one_valid_object_per_event() {
-        let text = to_ndjson(&sample_events());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for line in &lines {
-            let v: Value = serde_json::from_str(line).expect("valid JSON line");
-            assert!(v.get("site").is_some());
-        }
-        assert!(lines[1].contains("\"role\":\"leader\""));
-        assert!(lines[1].contains("00000000deadbeef"));
-        assert!(!lines[0].contains("role"), "absent args omitted");
-        assert!(lines[2].contains("\"pool\":5,\"worker\":1"));
-        assert!(lines[3].contains("\"phase\":\"instant\""));
     }
 
     #[test]

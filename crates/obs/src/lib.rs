@@ -1,6 +1,6 @@
 //! Observability for the qods serving stack: end-to-end structured
-//! request tracing, the unified metrics registry, and exporters for
-//! the Chrome trace-event format and NDJSON (DESIGN.md §13).
+//! request tracing, the unified metrics registry, and an exporter for
+//! the Chrome trace-event format (DESIGN.md §13).
 //!
 //! Three pieces, one crate:
 //!
@@ -17,12 +17,13 @@
 //!   serde [`MetricsSnapshot`] feeds the `stats` and `metrics` verbs
 //!   and the bench reports.
 //! * [`export`] — [`export::to_chrome`] (Perfetto-loadable, worker
-//!   lanes named), [`export::to_ndjson`], and
-//!   [`export::stage_breakdown`] for `repro --load`'s stage table.
+//!   lanes named) and [`export::stage_breakdown`] for `repro --load`'s
+//!   stage table.
 //!
-//! Site names are the contract: every span and metric site is a
-//! constant in [`sites`], and lint rule O1 checks instrumentation
-//! literals against [`sites::ALL`] so the table can't drift.
+//! Site names are the contract: every span, metric and fault
+//! checkpoint site is a constant in [`sites`], and lint rule O1 checks
+//! site literals against [`sites::ALL`] (fault calls and plan strings
+//! against [`sites::CHECKPOINTS`]) so the table can't drift.
 //!
 //! This crate is dependency-free by design (serde shims only) and
 //! sits below every serving crate; like `qods-fault`, it must never

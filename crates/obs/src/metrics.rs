@@ -138,12 +138,6 @@ impl Registry {
             trace: crate::trace::tracer().stats(),
         }
     }
-
-    /// Reads one counter's current value (0 when never registered) —
-    /// for snapshot-shaping code that must not create the site.
-    pub fn counter_value(&self, site: &str) -> u64 {
-        plock(&self.counters).get(site).map_or(0, |c| c.get())
-    }
 }
 
 /// The serde form of a [`Registry::snapshot`]: sorted site-name maps,
@@ -158,6 +152,27 @@ pub struct MetricsSnapshot {
     pub latency: BTreeMap<String, LatencySummary>,
     /// Span-buffer occupancy and drop accounting.
     pub trace: TraceStats,
+}
+
+impl MetricsSnapshot {
+    /// One counter's value (0 when the site was never registered).
+    pub fn counter(&self, site: &str) -> u64 {
+        self.counters.get(site).copied().unwrap_or(0)
+    }
+
+    /// One gauge's level (0 when the site was never registered).
+    pub fn gauge(&self, site: &str) -> i64 {
+        self.gauges.get(site).copied().unwrap_or(0)
+    }
+
+    /// One histogram's summary (empty when the site was never
+    /// registered).
+    pub fn histogram(&self, site: &str) -> LatencySummary {
+        self.latency
+            .get(site)
+            .cloned()
+            .unwrap_or_else(|| LatencyHistogram::default().summary())
+    }
 }
 
 /// The serving path's robustness counters — **one** shared shape for
@@ -177,13 +192,13 @@ pub struct RobustnessSnapshot {
 }
 
 impl RobustnessSnapshot {
-    /// Reads the robustness counters out of `registry`.
-    pub fn from_registry(registry: &Registry) -> Self {
+    /// Projects the robustness counters out of a registry snapshot.
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
         RobustnessSnapshot {
-            panics_caught: registry.counter_value(sites::SVC_PANICS_CAUGHT),
-            deadline_exceeded: registry.counter_value(sites::SVC_DEADLINE_EXCEEDED),
-            lines_rejected: registry.counter_value(sites::NET_LINES_REJECTED),
-            idle_reaped: registry.counter_value(sites::NET_IDLE_REAPED),
+            panics_caught: snap.counter(sites::SVC_PANICS_CAUGHT),
+            deadline_exceeded: snap.counter(sites::SVC_DEADLINE_EXCEEDED),
+            lines_rejected: snap.counter(sites::NET_LINES_REJECTED),
+            idle_reaped: snap.counter(sites::NET_IDLE_REAPED),
         }
     }
 }
@@ -237,12 +252,12 @@ mod tests {
     #[test]
     fn robustness_snapshot_reads_without_creating_sites() {
         let r = Registry::new();
-        let snap = RobustnessSnapshot::from_registry(&r);
+        let snap = RobustnessSnapshot::from_snapshot(&r.snapshot());
         assert_eq!(snap, RobustnessSnapshot::default());
         assert!(r.snapshot().counters.is_empty(), "read did not register");
         r.counter(sites::SVC_PANICS_CAUGHT).add(2);
         r.counter(sites::NET_IDLE_REAPED).inc();
-        let snap = RobustnessSnapshot::from_registry(&r);
+        let snap = RobustnessSnapshot::from_snapshot(&r.snapshot());
         assert_eq!(snap.panics_caught, 2);
         assert_eq!(snap.idle_reaped, 1);
         let json = serde_json::to_string(&snap).expect("serialize");

@@ -1,15 +1,18 @@
-//! The canonical site-name table: every span a guard can open and
-//! every metric a registry handle can register lives here, as a
-//! `&'static str` constant plus the [`ALL`] slice lint rule **O1**
-//! validates instrumentation literals against — the same can't-drift
-//! contract `qods_fault::SITES` gives fault-injection points.
+//! The canonical site-name table: every span a guard can open, every
+//! metric a registry handle can register, and every fault-injection
+//! checkpoint lives here, as a `&'static str` constant plus the
+//! [`ALL`] slice lint rule **O1** validates site literals against.
+//! [`CHECKPOINTS`] names the subset `qods_fault::check` is called at;
+//! `qods_fault::FaultPlan::parse` rejects any other site, so a plan
+//! that could never fire is a parse error, not a silent no-op.
 //!
 //! Naming is `<layer>.<thing>`: `net.*` for the wire/connection
 //! layer, `gate.*` for admission, `svc.*` for the scheduler,
 //! `cache.*` for the context pool, `store.*` for the artifact store,
 //! `compile.*` for the pipeline stages, `pool.*` for the worker pool,
-//! `job.*` for per-request execution, and `fault.*`/`trace.*` for the
-//! observability plumbing itself.
+//! `job.*` for per-request execution, `mc.*` for the Monte-Carlo
+//! engine, and `fault.*`/`trace.*` for the observability plumbing
+//! itself.
 
 // ------------------------------------------------------------ spans
 
@@ -49,6 +52,22 @@ pub const JOB_EXPERIMENT: &str = "job.experiment";
 
 /// A fault-injection site fired (instant event; detail = fault site).
 pub const FAULT_FIRED: &str = "fault.fired";
+
+// ------------------------------------------------------ checkpoints
+
+/// Disk-tier artifact read in `qods-compile`'s `ArtifactStore`.
+pub const STORE_READ: &str = "store.read";
+/// Disk-tier artifact write in `qods-compile`'s `ArtifactStore`.
+pub const STORE_WRITE: &str = "store.write";
+/// One request line handled on a `qods-net` connection.
+pub const NET_CONN: &str = "net.conn";
+/// One Monte-Carlo trial chunk in `qods-phys`.
+pub const MC_CHUNK: &str = "mc.chunk";
+
+/// The fault-injection checkpoints: the sites production code passes
+/// to `qods_fault::check`/`check_sleeping` (one unit of pool work is
+/// the span site [`POOL_WORKER`]). A subset of [`ALL`].
+pub const CHECKPOINTS: &[&str] = &[STORE_READ, STORE_WRITE, POOL_WORKER, NET_CONN, MC_CHUNK];
 
 // ---------------------------------------------------------- metrics
 
@@ -129,8 +148,10 @@ pub const ALL: &[&str] = &[
     GATE_ACTIVE,
     GATE_WAITING,
     JOB_EXPERIMENT,
+    MC_CHUNK,
     NET_ACCEPT,
     NET_ADMISSION,
+    NET_CONN,
     NET_CONNECTIONS,
     NET_CONNECTIONS_TOTAL,
     NET_ERRORS,
@@ -149,6 +170,8 @@ pub const ALL: &[&str] = &[
     STORE_CORRUPT_READS,
     STORE_DISK_HITS,
     STORE_MEM_HITS,
+    STORE_READ,
+    STORE_WRITE,
     STORE_WRITE_ERRORS,
     SVC_COALESCE,
     SVC_COALESCED,
@@ -185,5 +208,13 @@ mod tests {
         }
         assert!(!is_site("net.acept"));
         assert!(!is_site(""));
+    }
+
+    #[test]
+    fn checkpoints_are_canonical_sites() {
+        for s in CHECKPOINTS {
+            assert!(is_site(s), "checkpoint `{s}` must be in ALL");
+        }
+        assert!(!CHECKPOINTS.contains(&NET_READ), "a span, not a checkpoint");
     }
 }

@@ -501,8 +501,9 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Convenience: records a fault firing as an instant event (what
-/// `qods_fault::check` calls on every fire).
+/// Convenience: records a fault firing at checkpoint `fault_site`
+/// (one of [`sites::CHECKPOINTS`]) as an instant event — what
+/// `qods_fault::check` calls on every fire.
 pub fn fault_fired(fault_site: &str) {
     instant(sites::FAULT_FIRED, fault_site);
 }

@@ -354,7 +354,7 @@ where
     // contract survives cancellation. The `mc.chunk` fault site rides
     // the same boundary (chaos tests inject delays to force deadline
     // expiry, and panics to exercise the pool's unwind guard).
-    if let Some(action) = qods_fault::check_sleeping(qods_fault::site::MC_CHUNK) {
+    if let Some(action) = qods_fault::check_sleeping(qods_obs::sites::MC_CHUNK) {
         if action == qods_fault::FaultAction::Panic {
             // qods-lint: allow(P1) -- fault-injection site: this panic IS the injected fault the chaos tests exercise
             panic!("injected fault: mc chunk {c} panicked");

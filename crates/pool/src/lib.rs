@@ -47,7 +47,7 @@
 //! keeps the determinism contract compatible with cancellation.
 
 // The pool hosts every serving-path worker: no panicking unwraps
-// outside tests (lint rule R1 and the chaos-job clippy gate agree).
+// outside tests (CI's clippy `-D warnings` makes this an error).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use qods_obs::sites;
@@ -319,7 +319,7 @@ where
             .worker(pool, w as u32);
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             with_deadline(deadline, || {
-                if let Some(action) = qods_fault::check_sleeping(qods_fault::site::POOL_WORKER) {
+                if let Some(action) = qods_fault::check_sleeping(sites::POOL_WORKER) {
                     if action == qods_fault::FaultAction::Panic {
                         panic!("injected fault: pool worker {w} panicked");
                     }

@@ -87,6 +87,7 @@ use crate::machine::Arch;
 use qods_circuit::circuit::Circuit;
 use qods_circuit::dag::Dag;
 use qods_circuit::latency_model::CharacterizationModel;
+use qods_circuit::schedule::Schedule;
 use qods_factory::supply::{FactoryFarm, ZeroFactoryKind};
 
 /// Zero-ancilla buffer of a dedicated QLA site (about one QEC step).
@@ -114,7 +115,7 @@ pub struct SimOutcome {
 }
 
 /// Everything about a circuit that every `simulate` call on it shares:
-/// the dependency DAG (as successor lists), per-gate operands and
+/// the dependency [`Dag`] (operands and successor lists), per-gate
 /// execution latencies, the ancilla-demand mix, and the speed-of-data
 /// makespan. A Fig 15 sweep runs ~50 simulations per benchmark; this
 /// is built once and borrowed by all of them (and by all sweep worker
@@ -124,18 +125,11 @@ pub struct SimContext<'c> {
     circuit: &'c Circuit,
     model: CharacterizationModel,
     link: Interconnect,
-    /// Per-gate operand lists, inline (gates touch at most 3 qubits).
-    operands: Vec<([u32; 3], u8)>,
+    dag: Dag,
     /// Per-gate execution time: data latency + trailing QEC interact.
     exec_us: Vec<f64>,
     /// Per-gate pi/8-ancilla demand (0.0 or 1.0).
     pi8_demand: Vec<f64>,
-    /// Successor adjacency, flattened: gate `i`'s successors are
-    /// `succ_dat[succ_off[i]..succ_off[i + 1]]`.
-    succ_off: Vec<u32>,
-    succ_dat: Vec<u32>,
-    /// Predecessor counts (initial indegrees).
-    indegree0: Vec<u32>,
     /// Total encoded-zero demand of the circuit (2 per operand touch).
     zeros_total: f64,
     /// Total pi/8 demand.
@@ -154,71 +148,31 @@ impl<'c> SimContext<'c> {
     pub fn new(circuit: &'c Circuit) -> Self {
         let model = CharacterizationModel::ion_trap();
         let link = Interconnect::ion_trap();
-        let gates = circuit.gates();
         let dag = Dag::build(circuit);
+        // The speed-of-data schedule's per-gate durations are exactly
+        // the execution times the simulation charges.
+        let sod = Schedule::speed_of_data_on(&dag, circuit, &model);
 
-        let mut operands = Vec::with_capacity(gates.len());
-        let mut exec_us = Vec::with_capacity(gates.len());
-        let mut pi8_demand = Vec::with_capacity(gates.len());
+        let mut pi8_demand = Vec::with_capacity(circuit.len());
         let mut zeros_total = 0.0f64;
         let mut pi8_total = 0.0f64;
-        for g in gates {
-            let qs = g.qubits();
-            let mut ops = [0u32; 3];
-            for (slot, &q) in ops.iter_mut().zip(&qs) {
-                *slot = q as u32;
-            }
-            operands.push((ops, qs.len() as u8));
-            exec_us.push(model.data_latency(g) + model.qec_interact());
+        for g in circuit.gates() {
             let pi8 = if g.needs_pi8_ancilla() { 1.0 } else { 0.0 };
             pi8_demand.push(pi8);
             pi8_total += pi8;
-            zeros_total += 2.0 * qs.len() as f64;
+            zeros_total += 2.0 * g.qubits().len() as f64;
         }
-
-        let mut indegree0 = vec![0u32; gates.len()];
-        let mut succ_count = vec![0u32; gates.len()];
-        for (i, slot) in indegree0.iter_mut().enumerate() {
-            let preds = dag.preds(i);
-            *slot = preds.len() as u32;
-            for &p in preds {
-                succ_count[p] += 1;
-            }
-        }
-        let mut succ_off = Vec::with_capacity(gates.len() + 1);
-        let mut acc = 0u32;
-        for &c in &succ_count {
-            succ_off.push(acc);
-            acc += c;
-        }
-        succ_off.push(acc);
-        let mut succ_dat = vec![0u32; acc as usize];
-        let mut cursor: Vec<u32> = succ_off[..gates.len()].to_vec();
-        for i in 0..gates.len() {
-            for &p in dag.preds(i) {
-                succ_dat[cursor[p] as usize] = i as u32;
-                cursor[p] += 1;
-            }
-        }
-
-        // The speed-of-data makespan reuses the DAG just built instead
-        // of lowering a second one.
-        let sod_makespan_us =
-            qods_circuit::schedule::Schedule::speed_of_data_on(&dag, circuit, &model).makespan_us;
 
         SimContext {
             circuit,
             model,
             link,
-            operands,
-            exec_us,
+            dag,
+            exec_us: sod.duration,
             pi8_demand,
-            succ_off,
-            succ_dat,
-            indegree0,
             zeros_total,
             pi8_total,
-            sod_makespan_us,
+            sod_makespan_us: sod.makespan_us,
         }
     }
 
@@ -250,8 +204,10 @@ impl<'c> SimContext<'c> {
 
         let (mut supply, mut policy) = build_arch(self, arch, factory_area, n, ratio);
 
-        let n_gates = self.operands.len();
-        let mut indegree = self.indegree0.clone();
+        let n_gates = self.dag.len();
+        let mut indegree: Vec<u32> = (0..n_gates)
+            .map(|i| self.dag.preds(i).len() as u32)
+            .collect();
         let mut ready_time = vec![0.0f64; n_gates];
         let mut queue = EventQueue::new();
         for (i, &deg) in indegree.iter().enumerate() {
@@ -268,8 +224,7 @@ impl<'c> SimContext<'c> {
         let zeros_per_qec = self.model.zeros_per_qec() as f64;
 
         while let Some((ready, i)) = queue.pop() {
-            let (ops, n_ops) = self.operands[i];
-            let ops = &ops[..n_ops as usize];
+            let ops = self.dag.operands(i);
 
             // Movement: bring the operands together (and, on CQLA,
             // deliver the remote ancilla share through the port).
@@ -300,8 +255,7 @@ impl<'c> SimContext<'c> {
             let start = transport_done.max(avail).max(ready);
             let e = start + self.exec_us[i];
             makespan = makespan.max(e);
-            let succs = &self.succ_dat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize];
-            for &s in succs {
+            for &s in self.dag.succs(i) {
                 let s = s as usize;
                 ready_time[s] = ready_time[s].max(e);
                 indegree[s] -= 1;

@@ -99,10 +99,10 @@ pub fn characterize(circuit: &Circuit) -> CircuitReport {
 pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> CircuitReport {
     let dag = Dag::build(circuit);
     let gates = circuit.gates();
+    let sched = Schedule::speed_of_data_on(&dag, circuit, model);
 
     // Critical path weighted by occupied time (data + QEC interact).
-    let weight = |i: usize| model.data_latency(&gates[i]) + model.qec_interact();
-    let path = dag.critical_path(weight);
+    let path = dag.critical_path(|i| sched.duration[i]);
 
     let mut data_op = 0.0;
     let mut interact = 0.0;
@@ -123,17 +123,9 @@ pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> Ci
     };
 
     // Bandwidths at the speed of data.
-    let sched = Schedule::speed_of_data(circuit, model);
     let runtime_ms = sched.makespan_us / 1000.0;
-    let mut total_zeros = 0u64;
-    let mut total_pi8 = 0u64;
-    for g in gates {
-        total_zeros += model.zeros_per_qec() * g.qubits().len() as u64;
-        if g.needs_pi8_ancilla() {
-            total_pi8 += 1;
-            total_zeros += model.zeros_per_pi8();
-        }
-    }
+    let total_zeros: u64 = gates.iter().map(|g| model.zeros_for(g)).sum();
+    let total_pi8 = gates.iter().filter(|g| g.needs_pi8_ancilla()).count() as u64;
     let bandwidth = BandwidthReport {
         zero_per_ms: if runtime_ms > 0.0 {
             total_zeros as f64 / runtime_ms
@@ -185,13 +177,7 @@ pub fn demand_profile(
         .ends()
         .into_iter()
         .zip(gates)
-        .map(|(end, g)| {
-            let mut zeros = model.zeros_per_qec() * g.qubits().len() as u64;
-            if g.needs_pi8_ancilla() {
-                zeros += model.zeros_per_pi8();
-            }
-            (end, zeros)
-        })
+        .map(|(end, g)| (end, model.zeros_for(g)))
         .collect();
     events.sort_by(|a, b| a.0.total_cmp(&b.0));
 

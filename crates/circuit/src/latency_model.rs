@@ -114,6 +114,17 @@ impl CharacterizationModel {
     pub fn zeros_per_pi8(&self) -> u64 {
         1
     }
+
+    /// Encoded zeros one lowered gate consumes: a QEC step's worth per
+    /// operand, plus the gadget feed of a pi/8 gate.
+    pub fn zeros_for(&self, g: &Gate) -> u64 {
+        let feed = if g.needs_pi8_ancilla() {
+            self.zeros_per_pi8()
+        } else {
+            0
+        };
+        self.zeros_per_qec() * g.qubits().len() as u64 + feed
+    }
 }
 
 #[cfg(test)]

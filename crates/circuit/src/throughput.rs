@@ -28,40 +28,47 @@ pub fn execution_time_us(
     model: &CharacterizationModel,
     zeros_per_ms: f64,
 ) -> f64 {
-    assert!(zeros_per_ms > 0.0, "throughput must be positive");
-    let rate_per_us = zeros_per_ms / 1000.0;
+    supply_limited(circuit, model)(zeros_per_ms)
+}
+
+/// The makespan as a function of the supply rate. The DAG and each
+/// gate's occupied time and zero demand are built here, once, so a
+/// sweep pays for them once per curve, not once per point.
+fn supply_limited(circuit: &Circuit, model: &CharacterizationModel) -> impl Fn(f64) -> f64 {
     let dag = Dag::build(circuit);
     let gates = circuit.gates();
-
-    let mut end = vec![0.0f64; gates.len()];
-    let mut consumed: u64 = 0;
-    let mut makespan = 0.0f64;
-    for i in 0..gates.len() {
-        let g = &gates[i];
-        let mut ready = 0.0f64;
-        for &p in dag.preds(i) {
-            ready = ready.max(end[p]);
+    let dur_us: Vec<f64> = gates
+        .iter()
+        .map(|g| model.data_latency(g) + model.qec_interact())
+        .collect();
+    let zeros: Vec<u64> = gates.iter().map(|g| model.zeros_for(g)).collect();
+    move |zeros_per_ms| {
+        assert!(zeros_per_ms > 0.0, "throughput must be positive");
+        let rate_per_us = zeros_per_ms / 1000.0;
+        let mut end = vec![0.0f64; dag.len()];
+        let mut consumed: u64 = 0;
+        let mut makespan = 0.0f64;
+        for i in 0..dag.len() {
+            let mut ready = 0.0f64;
+            for &p in dag.preds(i) {
+                ready = ready.max(end[p as usize]);
+            }
+            consumed += zeros[i];
+            // Earliest time the cumulative production covers `consumed`.
+            let supply_time = if rate_per_us.is_infinite() {
+                0.0
+            } else {
+                consumed as f64 / rate_per_us
+            };
+            // The zeros are needed at QEC time (the end of the gate), so
+            // the gate may start on data readiness and stall only if the
+            // supply has not yet covered its consumption by then.
+            let e = (ready + dur_us[i]).max(supply_time);
+            end[i] = e;
+            makespan = makespan.max(e);
         }
-        let mut zeros = model.zeros_per_qec() * g.qubits().len() as u64;
-        if g.needs_pi8_ancilla() {
-            zeros += model.zeros_per_pi8();
-        }
-        consumed += zeros;
-        // Earliest time the cumulative production covers `consumed`.
-        let supply_time = if rate_per_us.is_infinite() {
-            0.0
-        } else {
-            consumed as f64 / rate_per_us
-        };
-        // The zeros are needed at QEC time (the end of the gate), so
-        // the gate may start on data readiness and stall only if the
-        // supply has not yet covered its consumption by then.
-        let dur = model.data_latency(g) + model.qec_interact();
-        let e = (ready + dur).max(supply_time);
-        end[i] = e;
-        makespan = makespan.max(e);
+        makespan
     }
-    makespan
 }
 
 /// One point of a Fig 8 sweep.
@@ -84,12 +91,13 @@ pub fn throughput_sweep(
 ) -> Vec<ThroughputPoint> {
     assert!(lo > 0.0 && hi > lo && points >= 2, "bad sweep range");
     let step = (hi / lo).powf(1.0 / (points - 1) as f64);
+    let makespan_us = supply_limited(circuit, model);
     (0..points)
         .map(|i| {
             let r = lo * step.powi(i as i32);
             ThroughputPoint {
                 zeros_per_ms: r,
-                execution_us: execution_time_us(circuit, model, r),
+                execution_us: makespan_us(r),
             }
         })
         .collect()

@@ -20,9 +20,9 @@ use crate::output::{
     SeriesOut, SimpleFactoryOut, Table2Out, Table3Out, Table9Out, WidthSweepOut,
 };
 use crate::study::StudyConfig;
-use qods_circuit::characterize::CircuitReport;
-use qods_circuit::circuit::Circuit;
-use qods_compile::{paper_specs, ArtifactStore, Compiler, SynthBudget};
+use qods_compile::{
+    paper_specs, ArtifactStore, Characterization, Compiler, ScheduledCircuit, SynthBudget,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -34,12 +34,18 @@ use std::sync::{Arc, OnceLock};
 /// experiments run over it or from how many threads — and at most
 /// once per *store* across contexts, since compilation is memoized in
 /// the content-addressed artifact store underneath.
+///
+/// The context holds the store's own `Arc`s, never copies: every
+/// context over one store (contexts whose configurations differ only
+/// in, say, `seed`) points at one allocation per circuit and report,
+/// and those allocations live exactly as long as the last context or
+/// store that holds them.
 #[derive(Debug)]
 pub struct StudyContext {
     config: StudyConfig,
     compiler: Compiler,
-    benchmarks: OnceLock<Vec<Circuit>>,
-    reports: OnceLock<Vec<CircuitReport>>,
+    benchmarks: OnceLock<Vec<Arc<ScheduledCircuit>>>,
+    reports: OnceLock<Vec<Arc<Characterization>>>,
     lowering_runs: AtomicUsize,
 }
 
@@ -79,9 +85,10 @@ impl StudyContext {
         &self.compiler
     }
 
-    /// The three lowered benchmark circuits (QRCA, QCLA, QFT),
-    /// compiled through the pipeline on first call and memoized for
-    /// every caller after that.
+    /// The three scheduled benchmark artifacts (QRCA, QCLA, QFT; the
+    /// lowered circuit is each one's `circuit`), compiled through the
+    /// pipeline on first call and memoized for every caller after
+    /// that.
     ///
     /// # Panics
     ///
@@ -89,26 +96,25 @@ impl StudyContext {
     /// (`1..=`[`qods_kernels::MAX_WIDTH`]); the service layer rejects
     /// such configurations with a typed error before a context is
     /// built.
-    pub fn benchmarks(&self) -> &[Circuit] {
+    pub fn benchmarks(&self) -> &[Arc<ScheduledCircuit>] {
         self.benchmarks.get_or_init(|| {
             self.lowering_runs.fetch_add(1, Ordering::Relaxed);
             let specs = paper_specs(self.config.n_bits);
-            let scheduled =
-                qods_pool::run_indexed(specs.len(), qods_pool::pool_threads(specs.len()), |i| {
-                    // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
-                    self.compiler.scheduled(specs[i]).expect("valid n_bits")
-                });
-            scheduled.iter().map(|s| s.circuit.clone()).collect()
+            qods_pool::run_indexed(specs.len(), qods_pool::pool_threads(specs.len()), |i| {
+                // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
+                self.compiler.scheduled(specs[i]).expect("valid n_bits")
+            })
         })
     }
 
-    /// Characterization reports for [`Self::benchmarks`], memoized the
-    /// same way (Tables 2, 3, 9 and §3.3 all consume these).
+    /// Characterizations (each with its `report`) for
+    /// [`Self::benchmarks`], memoized the same way (Tables 2, 3, 9 and
+    /// §3.3 all consume these).
     ///
     /// # Panics
     ///
     /// Panics on an out-of-bounds `n_bits` (see [`Self::benchmarks`]).
-    pub fn characterizations(&self) -> &[CircuitReport] {
+    pub fn characterizations(&self) -> &[Arc<Characterization>] {
         self.reports.get_or_init(|| {
             // Materialize the benchmarks first: characterization
             // consumes the scheduled artifacts anyway (the store
@@ -117,12 +123,10 @@ impl StudyContext {
             // counts as one materialization.
             let _ = self.benchmarks();
             let specs = paper_specs(self.config.n_bits);
-            let chars = self
-                .compiler
+            self.compiler
                 .characterize_many(&specs, qods_pool::pool_threads(specs.len()))
                 // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
-                .expect("valid n_bits");
-            chars.iter().map(|c| c.report.clone()).collect()
+                .expect("valid n_bits")
         })
     }
 
@@ -247,6 +251,20 @@ mod tests {
         let reports = ctx.characterizations().len();
         assert_eq!((a, b, reports), (3, 3, 3));
         assert_eq!(ctx.lowering_runs(), 1);
+    }
+
+    #[test]
+    fn contexts_over_one_store_share_its_artifacts() {
+        let store = Arc::new(ArtifactStore::in_memory());
+        let a = StudyContext::with_store(StudyConfig::smoke(), Arc::clone(&store));
+        let b = StudyContext::with_store(StudyConfig::smoke(), store);
+        for (x, y) in a.benchmarks().iter().zip(b.benchmarks()) {
+            assert!(Arc::ptr_eq(x, y), "{} copied", x.circuit.name);
+        }
+        for (x, y) in a.characterizations().iter().zip(b.characterizations()) {
+            assert!(Arc::ptr_eq(x, y), "{} copied", x.report.name);
+        }
+        assert_eq!(a.compiler().store().stats().computed, 9);
     }
 
     #[test]

@@ -94,6 +94,7 @@ impl Experiment for Table2Experiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| Table2Row {
                 name: r.name.clone(),
                 data_op_us: r.breakdown.data_op_us,
@@ -124,6 +125,7 @@ impl Experiment for Table3Experiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| Table3Row {
                 name: r.name.clone(),
                 zero_per_ms: r.bandwidth.zero_per_ms,
@@ -151,6 +153,7 @@ impl Experiment for NonTransversalExperiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| NonTransversalRow {
                 name: r.name.clone(),
                 fraction: r.non_transversal_fraction,
@@ -247,6 +250,7 @@ impl Experiment for Table9Experiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| {
                 let row = table9_row(r);
                 Table9Entry {
@@ -286,7 +290,8 @@ impl Experiment for Fig7Experiment {
         let series = ctx
             .benchmarks()
             .iter()
-            .map(|c| {
+            .map(|s| {
+                let c = &s.circuit;
                 Series::from_pairs(
                     c.name.clone(),
                     demand_profile(c, &model, ctx.config().profile_samples)
@@ -315,8 +320,9 @@ impl Experiment for Fig8Experiment {
             .benchmarks()
             .iter()
             .zip(ctx.characterizations())
-            .map(|(c, r)| {
-                let avg = r.bandwidth.zero_per_ms.max(1.0);
+            .map(|(s, ch)| {
+                let c = &s.circuit;
+                let avg = ch.report.bandwidth.zero_per_ms.max(1.0);
                 Series::from_pairs(
                     c.name.clone(),
                     throughput_sweep(c, &model, avg / 30.0, avg * 30.0, 25)
@@ -348,7 +354,8 @@ impl Experiment for Fig15Experiment {
         let panels = ctx
             .benchmarks()
             .iter()
-            .map(|c| {
+            .map(|s| {
+                let c = &s.circuit;
                 let panel = &ctx.config().arch_panel;
                 let archs: Vec<Arch> = panel.iter().map(|a| a.to_arch(c.n_qubits())).collect();
                 let curves = area_sweep(c, &archs, &areas);

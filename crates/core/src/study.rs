@@ -247,7 +247,11 @@ impl Study {
 
     /// Builds the three lowered benchmark circuits.
     pub fn benchmarks(&self) -> Vec<Circuit> {
-        self.context().benchmarks().to_vec()
+        self.context()
+            .benchmarks()
+            .iter()
+            .map(|s| s.circuit.clone())
+            .collect()
     }
 
     /// Runs every experiment (in parallel, benchmarks lowered once) and

@@ -83,7 +83,7 @@ mod tests {
         let gates = a.synthesize(5, 4, false);
         for g in &gates {
             assert!(g.is_physical());
-            assert_eq!(g.qubits(), vec![5]);
+            assert_eq!(g.qubits()[..], [5]);
         }
     }
 

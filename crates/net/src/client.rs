@@ -102,8 +102,7 @@ impl Client {
     ///
     /// The connect/clone error.
     pub fn connect_with(addr: SocketAddr, retry: RetryPolicy) -> std::io::Result<Self> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
+        let (reader, writer) = dial(addr)?;
         Ok(Client {
             addr,
             reader,
@@ -122,9 +121,7 @@ impl Client {
     /// Drops the current connection and dials the stored address
     /// again.
     fn reconnect(&mut self) -> std::io::Result<()> {
-        let writer = TcpStream::connect(self.addr)?;
-        self.reader = BufReader::new(writer.try_clone()?);
-        self.writer = writer;
+        (self.reader, self.writer) = dial(self.addr)?;
         Ok(())
     }
 
@@ -272,6 +269,17 @@ impl Client {
     }
 }
 
+/// Opens one connection as a (read half, write half) pair. Nagle's
+/// algorithm is off: a request is one small line followed by a wait
+/// for the reply, the pattern that otherwise stalls on a delayed ACK.
+/// The option is a latency hint, as on the server: a socket that
+/// refuses it is still used.
+fn dial(addr: SocketAddr) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    let writer = TcpStream::connect(addr)?;
+    let _ = writer.set_nodelay(true);
+    Ok((BufReader::new(writer.try_clone()?), writer))
+}
+
 fn invalid(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
@@ -309,6 +317,17 @@ mod tests {
         // Different seeds *may* collide on one attempt; across four
         // they must not all agree.
         assert!((0..4).any(|i| a.backoff(i) != c.backoff(i)));
+    }
+
+    #[test]
+    fn connect_and_reconnect_turn_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap(), "after connect");
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        client.reconnect().unwrap();
+        assert!(client.writer.nodelay().unwrap(), "after reconnect");
+        assert!(client.reader.get_ref().nodelay().unwrap());
     }
 
     #[test]

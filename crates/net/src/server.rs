@@ -601,6 +601,16 @@ impl NetServer {
         self.local
     }
 
+    /// Accepts one connection with Nagle's algorithm off: replies
+    /// are single lines the peer waits on, and Nagle plus a delayed
+    /// ACK would hold each one back by ~40 ms. A socket that refuses
+    /// the option is still served.
+    fn accept(&self) -> std::io::Result<TcpStream> {
+        let (stream, _) = self.listener.accept()?;
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
+    }
+
     /// Accepts and serves connections until a `shutdown` verb arrives
     /// on any of them, then drains: stop accepting, half-close every
     /// connection's read side (their threads finish the job they are
@@ -618,11 +628,11 @@ impl NetServer {
         let readers: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
 
-        for incoming in self.listener.incoming() {
+        loop {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match incoming {
+            let stream = match self.accept() {
                 Ok(s) => s,
                 Err(_) => continue,
             };
@@ -889,6 +899,15 @@ mod tests {
         assert_eq!(lines[0], "{\"event\":\"pong\"}");
         assert!(lines[1].contains("\"event\":\"stats\""));
         assert!(lines[1].contains("\"queue_depth\":0"));
+    }
+
+    #[test]
+    fn accepted_streams_turn_nagle_off() {
+        let server = NetServer::bind(Arc::new(quick_core(ServeOptions::default())), "127.0.0.1:0")
+            .expect("bind");
+        let _peer = TcpStream::connect(server.local_addr()).expect("connect");
+        let accepted = server.accept().expect("accept");
+        assert!(accepted.nodelay().expect("read TCP_NODELAY"));
     }
 
     #[test]

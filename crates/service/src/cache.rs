@@ -400,6 +400,30 @@ mod tests {
     }
 
     #[test]
+    fn configs_differing_only_in_seed_share_one_circuit_allocation() {
+        let pool = ContextPool::with_store(
+            StudyConfig::smoke(),
+            true,
+            4,
+            Arc::new(ArtifactStore::in_memory()),
+        );
+        let seed = |n: u64| Overrides {
+            seed: Some(n),
+            ..Overrides::default()
+        };
+        let (a, _) = pool.checkout(&seed(1));
+        let (b, hit) = pool.checkout(&seed(2));
+        assert!(!hit && !Arc::ptr_eq(&a, &b), "two distinct contexts");
+        let (ca, cb) = (a.context(), b.context());
+        for (x, y) in ca.benchmarks().iter().zip(cb.benchmarks()) {
+            assert!(Arc::ptr_eq(x, y), "{} copied per context", x.circuit.name);
+        }
+        for (x, y) in ca.characterizations().iter().zip(cb.characterizations()) {
+            assert!(Arc::ptr_eq(x, y), "{} copied per context", x.report.name);
+        }
+    }
+
+    #[test]
     fn disabled_caching_always_builds_fresh() {
         let pool = ContextPool::with_caching(StudyConfig::smoke(), false);
         let (a, hit_a) = pool.checkout(&Overrides::default());

@@ -122,7 +122,7 @@ proptest! {
         let (start, makespan) = dag.asap(|_| 1.0);
         for i in 0..c.len() {
             for &p in dag.preds(i) {
-                prop_assert!(start[i] >= start[p] + 1.0 - 1e-12);
+                prop_assert!(start[i] >= start[p as usize] + 1.0 - 1e-12);
             }
             prop_assert!(start[i] + 1.0 <= makespan + 1e-12);
         }
